@@ -7,6 +7,9 @@
 //! finished cell is appended to a journal on disk, keyed by a canonical
 //! content hash of everything that determines its result, and a
 //! restarted run replays verified records instead of re-simulating.
+//! [`ResultCache`] wraps the journal with in-flight coalescing; it is
+//! the one key→report store, shared by `GridRun` and the `ohm-serve`
+//! daemon.
 //!
 //! # Journal format (`ohm-journal v1`)
 //!
@@ -39,7 +42,7 @@
 //! [`SystemConfig::canonical`]), the platform, the mode, and the
 //! workload spec. Anything that can change a simulated result is in the
 //! key; harness knobs that provably cannot (worker counts, progress and
-//! profiling flags — strict-mode results are bit-identical across all
+//! profiling flags — results are bit-identical across all
 //! of them, DESIGN.md §3.8) are deliberately not. Renaming or adding a
 //! config field changes the canonical form and therefore the key, which
 //! is the conservative behaviour a result cache wants: a config whose
@@ -59,6 +62,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
@@ -375,6 +380,175 @@ impl Drop for Journal {
     fn drop(&mut self) {
         if self.fsync == FsyncPolicy::OnClose {
             let _ = self.sync();
+        }
+    }
+}
+
+/// Outcome of [`ResultCache::claim`] for one cell key.
+#[derive(Debug)]
+pub enum Claim {
+    /// The result is already cached — serve it, simulate nothing.
+    /// (Boxed: a `SimReport` dwarfs the other variants.)
+    Hit(Box<SimReport>),
+    /// The caller now owns this key and must simulate it, then call
+    /// [`ResultCache::complete`] (or [`ResultCache::abandon`] on
+    /// failure).
+    Owner,
+    /// Another worker is simulating this key right now; the caller's
+    /// ticket was parked and will be returned by the owner's
+    /// `complete`/`abandon`.
+    Parked,
+}
+
+/// Cache counters, snapshot via [`ResultCache::stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Claims served from the cache (journal-recovered or computed
+    /// earlier in this process).
+    pub hits: u64,
+    /// Claims that became owners — each one is exactly one simulation
+    /// started.
+    pub misses: u64,
+    /// Claims parked behind an in-flight owner — overlap coalesced away
+    /// without re-simulation.
+    pub coalesced: u64,
+    /// Verified records recovered from the journal at open.
+    pub recovered: usize,
+    /// Bytes of torn journal tail discarded at open.
+    pub truncated_bytes: u64,
+}
+
+/// Mutable cache state: the journal (disk + in-memory index) plus the
+/// in-flight ownership table with its parked tickets.
+struct CacheState<T> {
+    journal: Journal,
+    /// Keys currently being simulated, each with the tickets parked
+    /// behind its owner.
+    inflight: HashMap<u64, Vec<T>>,
+}
+
+/// The one journal-backed store from cell key to [`SimReport`], behind
+/// both [`GridRun::checkpoint`](crate::runner::GridRun::checkpoint) and
+/// the `ohm-serve` daemon.
+///
+/// Results are keyed by [`CellSpec::key`] and appended to a [`Journal`],
+/// which gives three properties:
+///
+/// * **Sharing.** Claims of a stored key are served from memory with
+///   zero re-simulation — across jobs, clients, or a resumed grid.
+/// * **In-flight coalescing.** A key that is *being* simulated is not
+///   re-simulated for a second claimant: the claim parks until the owner
+///   completes.
+/// * **Restart durability.** The journal replays on open, so a
+///   `SIGKILL`ed process resumes bit-identically (torn tails are
+///   truncated by the journal's CRC recovery).
+///
+/// `T` is the caller's ticket type — whatever it needs to resume a
+/// parked claim (the daemon parks whole tasks, a grid parks a cell
+/// index).
+pub struct ResultCache<T> {
+    state: Mutex<CacheState<T>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    coalesced: AtomicU64,
+    recovered: usize,
+    truncated_bytes: u64,
+}
+
+impl<T> ResultCache<T> {
+    /// Opens (or creates) the cache backed by the journal at `path`,
+    /// recovering every verified record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::open_with`] — I/O failures, a non-journal file, or
+    /// a journal from an incompatible build.
+    pub fn open(
+        path: impl AsRef<Path>,
+        fsync: FsyncPolicy,
+    ) -> Result<ResultCache<T>, JournalError> {
+        let journal = Journal::open_with(path, fsync)?;
+        let recovered = journal.len();
+        let truncated_bytes = journal.truncated_bytes();
+        Ok(ResultCache {
+            state: Mutex::new(CacheState {
+                journal,
+                inflight: HashMap::new(),
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            recovered,
+            truncated_bytes,
+        })
+    }
+
+    /// Claims `key`: a cached result, ownership of the simulation, or a
+    /// parked ticket — atomically, so exactly one concurrent claimant
+    /// of an uncached key becomes the owner and nobody re-simulates a
+    /// key that is cached or in flight.
+    pub fn claim(&self, key: u64, ticket: T) -> Claim {
+        let mut state = self.state.lock().expect("cache lock");
+        if let Some(report) = state.journal.get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Claim::Hit(Box::new(report.clone()));
+        }
+        match state.inflight.get_mut(&key) {
+            Some(parked) => {
+                parked.push(ticket);
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                Claim::Parked
+            }
+            None => {
+                state.inflight.insert(key, Vec::new());
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Claim::Owner
+            }
+        }
+    }
+
+    /// Publishes the owner's result: journals it (honouring the
+    /// [`FsyncPolicy`]), releases the key, and returns the parked
+    /// tickets (their next [`ResultCache::claim`] is a hit).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the append fails; the tickets are still
+    /// returned.
+    pub fn complete(&self, key: u64, report: &SimReport) -> (Vec<T>, Result<(), JournalError>) {
+        let mut state = self.state.lock().expect("cache lock");
+        let appended = state.journal.append(key, report);
+        let parked = state.inflight.remove(&key).unwrap_or_default();
+        (parked, appended)
+    }
+
+    /// Releases `key` without a result (the owner's simulation failed).
+    /// Returns the parked tickets; the first to re-claim becomes the
+    /// next owner, so a transiently failing cell can still converge
+    /// while a deterministically failing one fails per claimant.
+    pub fn abandon(&self, key: u64) -> Vec<T> {
+        let mut state = self.state.lock().expect("cache lock");
+        state.inflight.remove(&key).unwrap_or_default()
+    }
+
+    /// Number of distinct results stored.
+    pub fn len(&self) -> usize {
+        self.state.lock().expect("cache lock").journal.len()
+    }
+
+    /// Whether the cache holds no results.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            recovered: self.recovered,
+            truncated_bytes: self.truncated_bytes,
         }
     }
 }
@@ -1448,6 +1622,72 @@ mod tests {
         drop(j);
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.len(), 2, "records survive the close");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn small_report() -> SimReport {
+        let cfg = SystemConfig::quick_test();
+        let spec = ohm_workloads::workload_by_name("lud").unwrap();
+        crate::runner::Run::new(&cfg).workload(&spec).execute()
+    }
+
+    #[test]
+    fn claim_complete_serves_parked_tickets() {
+        let path = tmp_path("park");
+        let cache: ResultCache<&str> = ResultCache::open(&path, FsyncPolicy::OnClose).unwrap();
+        // First claimant owns the key.
+        assert!(matches!(cache.claim(7, "a"), Claim::Owner));
+        // Concurrent claimants park instead of re-simulating.
+        assert!(matches!(cache.claim(7, "b"), Claim::Parked));
+        assert!(matches!(cache.claim(7, "c"), Claim::Parked));
+        let report = small_report();
+        let (parked, appended) = cache.complete(7, &report);
+        appended.unwrap();
+        assert_eq!(parked, vec!["b", "c"], "tickets come back for re-queue");
+        // Re-claims (and any later claim) hit.
+        match cache.claim(7, "b") {
+            Claim::Hit(r) => assert_eq!(report_digest(&r), report_digest(&report)),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.coalesced, stats.hits), (1, 2, 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn abandon_hands_ownership_to_a_parked_ticket() {
+        let path = tmp_path("abandon");
+        let cache: ResultCache<u32> = ResultCache::open(&path, FsyncPolicy::OnClose).unwrap();
+        assert!(matches!(cache.claim(9, 1), Claim::Owner));
+        assert!(matches!(cache.claim(9, 2), Claim::Parked));
+        let parked = cache.abandon(9);
+        assert_eq!(parked, vec![2]);
+        // The returned ticket's re-claim becomes the new owner.
+        assert!(matches!(cache.claim(9, 2), Claim::Owner));
+        assert!(cache.is_empty(), "nothing was stored");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn results_survive_reopen() {
+        let path = tmp_path("reopen");
+        let report = small_report();
+        {
+            let cache: ResultCache<()> = ResultCache::open(&path, FsyncPolicy::Always).unwrap();
+            assert!(matches!(cache.claim(3, ()), Claim::Owner));
+            cache.complete(3, &report).1.unwrap();
+        }
+        let cache: ResultCache<()> = ResultCache::open(&path, FsyncPolicy::OnClose).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().recovered, 1);
+        match cache.claim(3, ()) {
+            Claim::Hit(r) => assert_eq!(
+                report_digest(&r),
+                report_digest(&report),
+                "recovered result must be bit-identical"
+            ),
+            other => panic!("expected hit, got {other:?}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -23,12 +23,11 @@
 //!   produces the rows printed by the figure harnesses.
 //! * [`checkpoint`] — the durable-sweep substrate: an append-only,
 //!   CRC-checked journal of per-cell results keyed by the
-//!   [`checkpoint::CellSpec`] content hash, behind
-//!   [`runner::GridRun::checkpoint`] and the `ohm-serve` result cache.
-//! * [`sweep`] — single-knob parameter sweeps (the ablation harnesses'
-//!   backbone).
-//! * [`par`] — the deterministic scoped-thread fan-out behind the
-//!   parallel [`runner`] and [`sweep`] paths.
+//!   [`checkpoint::CellSpec`] content hash, and the
+//!   [`checkpoint::ResultCache`] over it shared by
+//!   [`runner::GridRun::checkpoint`] and the `ohm-serve` daemon.
+//! * [`par`] — [`par::map`], the deterministic scoped-thread fan-out
+//!   behind [`runner::GridRun`].
 //!
 //! The system model itself is layered (see [`system`]): a warp engine
 //! over cache glue over a memory subsystem whose platform policy is a
@@ -66,7 +65,6 @@ pub mod metrics;
 pub mod par;
 pub mod reliability;
 pub mod runner;
-pub mod sweep;
 pub mod system;
 mod trace;
 
@@ -74,8 +72,6 @@ pub use checkpoint::{CellSpec, FsyncPolicy, Journal, JournalError};
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use fault::{FaultCounters, FaultPlan, LifecyclePlan, RecoveryEvent};
 pub use metrics::{FaultReport, PhaseRow, PhaseStageRow, PhaseSummary, SimReport, WearReport};
-#[allow(deprecated)]
-pub use runner::{run_platform, run_recorded, run_replay};
 pub use runner::{GridRun, Run};
 pub use system::System;
 

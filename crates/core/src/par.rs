@@ -1,16 +1,17 @@
 //! Deterministic scoped-thread fan-out for embarrassingly parallel jobs.
 //!
-//! Simulation cells (platform × workload, or sweep points) share no
-//! state: each builds its own [`System`](crate::system::System) from a
-//! cloned config. Running them on scoped threads therefore produces
-//! *bit-identical* results to the serial path — every job computes the
-//! same `SimReport` regardless of which worker runs it or when — and
-//! [`par_map_indexed`] additionally returns results in input order.
+//! Simulation cells (platform × workload) share no state: each builds
+//! its own [`System`](crate::system::System) from a cloned config.
+//! Running them on scoped threads therefore produces *bit-identical*
+//! results to a serial run — every job computes the same `SimReport`
+//! regardless of which worker runs it or when — and [`map`] returns
+//! results in input order.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ohm_sim::{ExponentialBackoff, Ps};
 
@@ -33,22 +34,20 @@ pub fn budget_cell_threads(grid_threads: usize, cell_threads: usize) -> usize {
 
 /// Index of the most recently reported panicked cell, offset by one so 0
 /// means "none yet". Diagnostic only — read by tests to assert the
-/// failing-cell report fires on every path.
+/// failing-cell report fires at every thread count.
 static LAST_PANICKED_CELL: AtomicUsize = AtomicUsize::new(0);
 
-/// Reports a panicking cell on stderr before it is rethrown (strict
-/// paths) or converted into a [`CellError`] (the `try` paths). Every
-/// execution path funnels through here so the "failing cell index"
-/// report is guaranteed regardless of `threads`.
+/// Reports a panicking cell on stderr before it is rethrown (strict) or
+/// converted into a [`CellError`] (isolate).
 fn report_cell_panic(i: usize, action: &str) {
     LAST_PANICKED_CELL.store(i + 1, Ordering::Relaxed);
-    eprintln!("par_map_indexed: job for cell {i} panicked; {action}");
+    eprintln!("par::map: job for cell {i} panicked; {action}");
 }
 
 /// Renders a caught panic payload as a message: the `&str` / `String`
 /// payloads `panic!` produces pass through verbatim, anything else
 /// becomes a placeholder.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn payload_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -61,142 +60,12 @@ fn last_panicked_cell() -> Option<usize> {
     LAST_PANICKED_CELL.load(Ordering::Relaxed).checked_sub(1)
 }
 
-/// Maps `job` over `0..n` on up to `threads` scoped worker threads,
-/// returning results in index order.
-///
-/// Workers pull the next index from a shared counter (dynamic load
-/// balancing — simulation cells vary widely in cost) and tag each result
-/// with its index; the tags scatter results back into input order, so
-/// the output is independent of scheduling. With `threads <= 1` (or a
-/// single job) the map runs inline on the caller's thread.
-///
-/// # Panics
-///
-/// If a job panics, the failing cell index is reported on stderr and the
-/// job's *original* panic payload is rethrown (`resume_unwind`) after
-/// the remaining workers wind down, so the caller sees the real failure
-/// rather than a generic join error.
-pub fn par_map_indexed<R, F>(n: usize, threads: usize, job: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 {
-        // Inline path: same panic protocol as the threaded path below —
-        // report the failing cell index, then rethrow the original payload.
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    report_cell_panic(i, "rethrowing");
-                    resume_unwind(payload);
-                }
-            }
-        }
-        return out;
-    }
-
-    let next = AtomicUsize::new(0);
-    // A panicked cell flips this so the other workers stop pulling new
-    // indices instead of burning through the rest of the grid.
-    let poisoned = AtomicBool::new(false);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
-    let mut failures: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let poisoned = &poisoned;
-                let job = &job;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut caught = None;
-                    loop {
-                        if poisoned.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                            Ok(r) => local.push((i, r)),
-                            Err(payload) => {
-                                poisoned.store(true, Ordering::Relaxed);
-                                caught = Some((i, payload));
-                                break;
-                            }
-                        }
-                    }
-                    (local, caught)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, caught) = h.join().expect("worker thread itself panicked");
-            tagged.extend(local);
-            failures.extend(caught);
-        }
-    });
-    if !failures.is_empty() {
-        // Several workers can panic in the same scheduling window; every
-        // failing index must be reported, not just whichever worker was
-        // joined first.
-        failures.sort_by_key(|(i, _)| *i);
-        for (i, _) in &failures {
-            report_cell_panic(*i, "rethrowing");
-        }
-        if failures.len() == 1 {
-            // Single failure: rethrow the job's original payload so the
-            // caller sees the real panic, not a wrapper.
-            resume_unwind(failures.pop().expect("non-empty").1);
-        }
-        let detail: Vec<String> = failures
-            .iter()
-            .map(|(i, p)| format!("cell {i}: {}", payload_message(p.as_ref())))
-            .collect();
-        resume_unwind(Box::new(format!(
-            "{} cells panicked — {}",
-            failures.len(),
-            detail.join("; ")
-        )));
-    }
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in tagged {
-        debug_assert!(slots[i].is_none(), "index {i} produced twice");
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index produces exactly one result"))
-        .collect()
-}
-
-/// [`par_map_indexed`] that additionally measures the wall-clock time of
-/// each job, returning `(result, elapsed)` pairs in index order.
-///
-/// The timing is harness-side profiling only — it never feeds back into
-/// simulated results, which stay deterministic.
-pub fn par_map_indexed_profiled<R, F>(n: usize, threads: usize, job: F) -> Vec<(R, Duration)>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed(n, threads, |i| {
-        let t0 = std::time::Instant::now();
-        let r = job(i);
-        (r, t0.elapsed())
-    })
-}
-
 /// A cell that could not produce a result: it panicked on every allowed
 /// attempt, or ran past the wall-clock deadline.
 ///
-/// Produced by [`par_try_map_indexed`]; surfaced by the runner as a
-/// quarantined or timed-out [`CellOutcome`](crate::runner::CellOutcome).
+/// Produced by [`map`] under [`Policy::Isolate`]; surfaced by the runner
+/// as a quarantined or timed-out
+/// [`CellOutcome`](crate::runner::CellOutcome).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
     /// The cell's index in `0..n` (row-major grid order in the runner).
@@ -225,9 +94,9 @@ impl std::fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
-/// Fault-isolation policy for [`par_try_map_indexed`]: how often a
-/// panicking cell is retried, how retries are spaced, and how long any
-/// single attempt may run.
+/// Fault-isolation knobs for [`Policy::Isolate`]: how often a panicking
+/// cell is retried, how retries are spaced, and how long any single
+/// attempt may run.
 ///
 /// The backoff schedule is the simulator's own [`ExponentialBackoff`],
 /// re-used here for *wall-clock* waits: a [`Ps`] delay is slept as the
@@ -244,14 +113,17 @@ pub struct RetryPolicy {
     pub deadline: Option<Duration>,
 }
 
-impl RetryPolicy {
-    /// One attempt, no waiting, no watchdog — pure panic-to-error
-    /// conversion.
-    pub const NONE: RetryPolicy = RetryPolicy {
-        max_retries: 0,
-        backoff: ExponentialBackoff::NONE,
-        deadline: None,
-    };
+/// What [`map`] does with a panicking cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Workers stop taking new cells after the first panic and the map
+    /// rethrows: the job's original payload for a single failure, one
+    /// message naming every failed cell for several. A strict map
+    /// therefore never returns an `Err`.
+    Strict,
+    /// Each panicking cell is retried under the [`RetryPolicy`], then
+    /// returned as a [`CellError`] while every other cell completes.
+    Isolate(RetryPolicy),
 }
 
 /// Converts a [`Ps`] backoff delay into the wall-clock sleep it stands
@@ -261,49 +133,59 @@ fn wall(d: Ps) -> Duration {
     Duration::from_nanos(d.as_ps() / 1_000)
 }
 
-/// What a single watchdogged attempt produced.
+/// A result plus the wall-clock time of the attempt that produced it.
+type Timed<R> = (R, Duration);
+
+/// What a failed attempt left behind.
 enum AttemptError {
-    Panicked(String),
+    Panicked(Box<dyn Any + Send>),
     TimedOut(Duration),
 }
 
-/// Runs one attempt of `job(i)`, catching panics; with a deadline the
-/// job runs on a detached monitor thread and the attempt is abandoned
-/// (the thread leaks until the job returns — see [`par_try_map_indexed`])
+/// Runs and times one attempt of `job(i)`, catching panics; with a
+/// deadline the job runs on a detached monitor thread and the attempt
+/// is abandoned (the thread leaks until the job returns — see [`map`])
 /// when the deadline passes.
-fn run_attempt<R, F>(job: &Arc<F>, i: usize, deadline: Option<Duration>) -> Result<R, AttemptError>
+fn run_attempt<R, F>(
+    job: &Arc<F>,
+    i: usize,
+    deadline: Option<Duration>,
+) -> Result<Timed<R>, AttemptError>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
+    let timed = move |job: &F| {
+        let t0 = Instant::now();
+        let r = job(i);
+        (r, t0.elapsed())
+    };
     let Some(limit) = deadline else {
-        return catch_unwind(AssertUnwindSafe(|| job(i)))
-            .map_err(|p| AttemptError::Panicked(payload_message(p.as_ref())));
+        return catch_unwind(AssertUnwindSafe(|| timed(job))).map_err(AttemptError::Panicked);
     };
     let (tx, rx) = mpsc::channel();
     let job = Arc::clone(job);
     std::thread::Builder::new()
         .name(format!("ohm-cell-{i}"))
         .spawn(move || {
-            let r = catch_unwind(AssertUnwindSafe(|| job(i)));
             // The receiver may be gone (deadline already passed) — that
             // is fine, the result is simply dropped.
-            let _ = tx.send(r.map_err(|p| payload_message(p.as_ref())));
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| timed(&job))));
         })
         .expect("spawn watchdogged cell thread");
     match rx.recv_timeout(limit) {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(msg)) => Err(AttemptError::Panicked(msg)),
+        Ok(r) => r.map_err(AttemptError::Panicked),
         Err(mpsc::RecvTimeoutError::Timeout) => Err(AttemptError::TimedOut(limit)),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(AttemptError::Panicked("cell worker vanished".to_string()))
-        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(AttemptError::Panicked(Box::new(
+            "cell worker vanished".to_string(),
+        ))),
     }
 }
 
-/// Runs one cell to completion under `policy`: panics are retried with
-/// backoff up to the cap, a deadline overrun gives up immediately.
-fn try_cell<R, F>(job: &Arc<F>, i: usize, policy: &RetryPolicy) -> Result<R, CellError>
+/// Runs one cell to completion under an isolate policy: panics are
+/// retried with backoff up to the cap, a deadline overrun gives up
+/// immediately.
+fn try_cell<R, F>(job: &Arc<F>, i: usize, policy: &RetryPolicy) -> Result<Timed<R>, CellError>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
@@ -316,7 +198,7 @@ where
             Err(AttemptError::TimedOut(limit)) => {
                 // A runaway cell is assumed deterministic — re-running it
                 // would burn another full deadline for the same outcome.
-                eprintln!("par_try_map_indexed: cell {i} exceeded {limit:?} deadline; abandoning");
+                eprintln!("par::map: cell {i} exceeded {limit:?} deadline; abandoning");
                 return Err(CellError {
                     index: i,
                     payload: format!("exceeded {limit:?} wall-clock deadline"),
@@ -324,13 +206,13 @@ where
                     timed_out: true,
                 });
             }
-            Err(AttemptError::Panicked(msg)) => {
+            Err(AttemptError::Panicked(payload)) => {
                 let last = attempts > policy.max_retries;
                 report_cell_panic(i, if last { "quarantining" } else { "retrying" });
                 if last {
                     return Err(CellError {
                         index: i,
-                        payload: msg,
+                        payload: payload_message(payload.as_ref()),
                         attempts,
                         timed_out: false,
                     });
@@ -344,70 +226,101 @@ where
     }
 }
 
-/// Fault-isolated [`par_map_indexed`]: maps `job` over `0..n` on up to
-/// `threads` workers, converting each failing cell into a typed
-/// [`CellError`] instead of tearing down the whole map.
+/// One worker-side cell outcome: strict panics keep their payload for
+/// the rethrow, isolated failures are already data.
+enum Failure {
+    Panic(Box<dyn Any + Send>),
+    Cell(CellError),
+}
+
+/// Maps `job` over `0..n` on up to `threads` workers, returning one
+/// `Result` per cell in index order, each `Ok` carrying the wall-clock
+/// time of the attempt that produced it.
 ///
-/// A panicking cell is retried with the policy's backoff until the retry
-/// cap, then quarantined; a cell that outlives `policy.deadline` is
-/// marked timed out immediately (no retry). Healthy cells are unaffected
-/// either way — the map always drains all `n` indices and returns one
-/// `Result` per cell in index order.
+/// Workers pull the next index from a shared counter (dynamic load
+/// balancing — simulation cells vary widely in cost) and tag each result
+/// with its index; the tags scatter results back into input order, so
+/// the output is independent of scheduling. With `threads <= 1` (which
+/// includes `n <= 1`) the map runs inline on the caller's thread and
+/// spawns no worker.
 ///
-/// The `'static` bounds (absent from the strict variant) pay for the
-/// watchdog: with a deadline set, each attempt runs on a detached
-/// monitor thread so the caller can give up on it. An abandoned attempt
-/// **leaks its thread** until the job eventually returns — acceptable
-/// for a simulation cell stuck in a long event loop, but it means a
-/// deadline is a reporting mechanism, not a resource cap.
-pub fn par_try_map_indexed<R, F>(
+/// Under [`Policy::Isolate`] the `'static` bounds pay for the watchdog:
+/// with a deadline set, each attempt runs on a detached monitor thread
+/// so the caller can give up on it. An abandoned attempt **leaks its
+/// thread** until the job eventually returns — acceptable for a
+/// simulation cell stuck in a long event loop, but it means a deadline
+/// is a reporting mechanism, not a resource cap.
+///
+/// # Panics
+///
+/// Under [`Policy::Strict`], if a job panics: every failing cell index
+/// is reported on stderr and, after the remaining workers wind down,
+/// the job's *original* payload is rethrown (`resume_unwind`) — or, when
+/// several cells panicked in the same window, one message naming each.
+pub fn map<R, F>(
     n: usize,
     threads: usize,
-    policy: RetryPolicy,
+    policy: Policy,
     job: F,
-) -> Vec<Result<R, CellError>>
+) -> Vec<Result<Timed<R>, CellError>>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
     let job = Arc::new(job);
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 {
-        return (0..n).map(|i| try_cell(&job, i, &policy)).collect();
-    }
-
-    // Same dynamic-load-balancing pool as the strict path, but errors
-    // are data: nothing poisons the counter, the grid always drains.
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, Result<R, CellError>)> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let job = &job;
-                let policy = &policy;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, try_cell(job, i, policy)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            tagged.extend(h.join().expect("worker thread itself panicked"));
+    // Under the strict policy a panicked cell flips this so the other
+    // workers stop pulling new indices instead of burning through the
+    // rest of the grid.
+    let poisoned = AtomicBool::new(false);
+    let worker = || {
+        let mut local = Vec::new();
+        while !poisoned.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let r = match &policy {
+                Policy::Strict => run_attempt(&job, i, None).map_err(|e| match e {
+                    AttemptError::Panicked(p) => Failure::Panic(p),
+                    AttemptError::TimedOut(_) => unreachable!("strict attempts have no deadline"),
+                }),
+                Policy::Isolate(retry) => try_cell(&job, i, retry).map_err(Failure::Cell),
+            };
+            let stop = matches!(r, Err(Failure::Panic(_)));
+            local.push((i, r));
+            if stop {
+                poisoned.store(true, Ordering::Relaxed);
+            }
         }
-    });
+        local
+    };
 
-    let mut slots: Vec<Option<Result<R, CellError>>> = (0..n).map(|_| None).collect();
+    let threads = threads.clamp(1, n.max(1));
+    let tagged = if threads <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker thread itself panicked"))
+                .collect()
+        })
+    };
+
+    let mut slots: Vec<Option<Result<Timed<R>, CellError>>> = (0..n).map(|_| None).collect();
+    let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     for (i, r) in tagged {
         debug_assert!(slots[i].is_none(), "index {i} produced twice");
-        slots[i] = Some(r);
+        match r {
+            Ok(v) => slots[i] = Some(Ok(v)),
+            Err(Failure::Cell(e)) => slots[i] = Some(Err(e)),
+            Err(Failure::Panic(p)) => panics.push((i, p)),
+        }
+    }
+    if !panics.is_empty() {
+        rethrow(panics);
     }
     slots
         .into_iter()
@@ -415,24 +328,28 @@ where
         .collect()
 }
 
-/// [`par_try_map_indexed`] with per-cell wall-clock timing, mirroring
-/// [`par_map_indexed_profiled`]. Failed cells carry no duration — their
-/// wall time is retry/deadline noise, not a cell cost.
-pub fn par_try_map_indexed_profiled<R, F>(
-    n: usize,
-    threads: usize,
-    policy: RetryPolicy,
-    job: F,
-) -> Vec<Result<(R, Duration), CellError>>
-where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
-{
-    par_try_map_indexed(n, threads, policy, move |i| {
-        let t0 = std::time::Instant::now();
-        let r = job(i);
-        (r, t0.elapsed())
-    })
+/// The strict policy's rethrow. Several workers can panic in the same
+/// scheduling window; every failing index is reported, not just
+/// whichever worker was joined first.
+fn rethrow(mut panics: Vec<(usize, Box<dyn Any + Send>)>) -> ! {
+    panics.sort_by_key(|(i, _)| *i);
+    for (i, _) in &panics {
+        report_cell_panic(*i, "rethrowing");
+    }
+    if panics.len() == 1 {
+        // Single failure: rethrow the job's original payload so the
+        // caller sees the real panic, not a wrapper.
+        resume_unwind(panics.pop().expect("non-empty").1);
+    }
+    let detail: Vec<String> = panics
+        .iter()
+        .map(|(i, p)| format!("cell {i}: {}", payload_message(p.as_ref())))
+        .collect();
+    resume_unwind(Box::new(format!(
+        "{} cells panicked — {}",
+        panics.len(),
+        detail.join("; ")
+    )))
 }
 
 #[cfg(test)]
@@ -445,103 +362,73 @@ mod tests {
     /// runner.
     static PANIC_TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    /// The values of a strict map (which never returns an `Err`).
+    fn values<R>(out: Vec<Result<Timed<R>, CellError>>) -> Vec<R> {
+        out.into_iter().map(|r| r.unwrap().0).collect()
+    }
+
+    fn isolate(max_retries: u32, deadline: Option<Duration>) -> Policy {
+        Policy::Isolate(RetryPolicy {
+            max_retries,
+            backoff: ExponentialBackoff::NONE,
+            deadline,
+        })
+    }
+
     #[test]
     fn preserves_input_order() {
         for threads in [1, 2, 4, 7] {
-            let out = par_map_indexed(13, threads, |i| i * i);
+            let out = values(map(13, threads, Policy::Strict, |i| i * i));
             assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i + 1), vec![1]);
+        assert!(map(0, 4, Policy::Strict, |i| i).is_empty());
+        assert_eq!(values(map(1, 4, Policy::Strict, |i| i + 1)), vec![1]);
     }
 
     #[test]
-    fn panic_resumes_with_original_payload() {
+    fn strict_panic_rethrows_original_payload_and_reports_cell() {
         let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(8, 2, |i| {
-                if i == 5 {
-                    panic!("cell five exploded");
-                }
-                i
+        for threads in [1, 2] {
+            LAST_PANICKED_CELL.store(0, Ordering::Relaxed);
+            let caught = std::panic::catch_unwind(|| {
+                map(8, threads, Policy::Strict, |i| {
+                    if i == 5 {
+                        panic!("cell five exploded");
+                    }
+                    i
+                })
             })
-        })
-        .expect_err("panic must propagate");
-        let msg = caught
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| caught.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        assert!(
-            msg.contains("cell five exploded"),
-            "original payload lost: {msg:?}"
-        );
-    }
-
-    #[test]
-    fn inline_path_reports_failing_cell_at_one_thread() {
-        // The threads=1 path used to skip catch_unwind entirely, so a
-        // panicking cell was never identified. The report marker must now
-        // fire before the payload is rethrown.
-        let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        LAST_PANICKED_CELL.store(0, Ordering::Relaxed);
-        let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(4, 1, |i| {
-                if i == 2 {
-                    panic!("cell two exploded");
-                }
-                i
-            })
-        })
-        .expect_err("panic must propagate");
-        assert_eq!(last_panicked_cell(), Some(2), "report did not fire inline");
-        let msg = caught
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| caught.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        assert!(
-            msg.contains("cell two exploded"),
-            "original payload lost: {msg:?}"
-        );
-    }
-
-    #[test]
-    fn budget_caps_cell_threads_by_grid_width() {
-        let total = default_threads();
-        // A serial grid gets the whole machine.
-        assert_eq!(budget_cell_threads(1, total), total);
-        // A grid as wide as the machine leaves one worker per cell.
-        assert_eq!(budget_cell_threads(total, 8), 1);
-        // Requests are floored at one and never exceed the request itself.
-        assert_eq!(budget_cell_threads(1, 0), 1);
-        assert!(budget_cell_threads(2, 3) <= 3);
-        assert!(budget_cell_threads(2, 3) * 2 <= total.max(2));
-    }
-
-    #[test]
-    fn profiled_map_preserves_results() {
-        let out = par_map_indexed_profiled(6, 3, |i| i * 2);
-        assert_eq!(
-            out.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8, 10]
-        );
+            .expect_err("panic must propagate");
+            assert_eq!(
+                last_panicked_cell(),
+                Some(5),
+                "report did not fire at threads={threads}"
+            );
+            let msg = caught
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| caught.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            assert!(
+                msg.contains("cell five exploded"),
+                "original payload lost at threads={threads}: {msg:?}"
+            );
+        }
     }
 
     #[test]
     fn concurrent_panics_all_reported() {
         // Two workers, two cells, both panic in the same window (a
         // barrier guarantees neither worker sees the poison flag before
-        // pulling its index). The rethrown payload must name BOTH cells
-        // — the old code kept the first and eprintln-dropped the rest.
+        // pulling its index). The rethrown payload must name BOTH cells.
         let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let started = AtomicUsize::new(0);
+        let started = Arc::new(AtomicUsize::new(0));
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed(2, 2, |i| {
+            map(2, 2, Policy::Strict, move |i| {
                 started.fetch_add(1, Ordering::SeqCst);
                 while started.load(Ordering::SeqCst) < 2 {
                     std::hint::spin_loop();
@@ -559,43 +446,22 @@ mod tests {
     }
 
     #[test]
-    fn profiled_panic_contract_matches_unprofiled() {
-        // The profiled wrapper must preserve the strict panic protocol at
-        // every thread count: original payload rethrown, failing cell
-        // reported.
-        let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for threads in [1, 2] {
-            LAST_PANICKED_CELL.store(0, Ordering::Relaxed);
-            let caught = std::panic::catch_unwind(|| {
-                par_map_indexed_profiled(4, threads, |i| {
-                    if i == 3 {
-                        panic!("profiled cell three exploded");
-                    }
-                    i
-                })
-            })
-            .expect_err("panic must propagate through the profiled path");
-            assert_eq!(
-                last_panicked_cell(),
-                Some(3),
-                "report did not fire at threads={threads}"
-            );
-            let msg = caught
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| caught.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("");
-            assert!(
-                msg.contains("profiled cell three exploded"),
-                "original payload lost at threads={threads}: {msg:?}"
-            );
-        }
+    fn budget_caps_cell_threads_by_grid_width() {
+        let total = default_threads();
+        // A serial grid gets the whole machine.
+        assert_eq!(budget_cell_threads(1, total), total);
+        // A grid as wide as the machine leaves one worker per cell.
+        assert_eq!(budget_cell_threads(total, 8), 1);
+        // Requests are floored at one and never exceed the request itself.
+        assert_eq!(budget_cell_threads(1, 0), 1);
+        assert!(budget_cell_threads(2, 3) <= 3);
+        assert!(budget_cell_threads(2, 3) * 2 <= total.max(2));
     }
 
     #[test]
-    fn try_map_quarantines_without_killing_the_map() {
+    fn isolate_quarantines_without_killing_the_map() {
         for threads in [1, 3] {
-            let out = par_try_map_indexed(8, threads, RetryPolicy::NONE, |i| {
+            let out = map(8, threads, isolate(0, None), |i| {
                 if i == 5 {
                     panic!("cell five exploded");
                 }
@@ -610,21 +476,16 @@ mod tests {
                     assert!(!e.timed_out);
                     assert!(e.payload.contains("cell five exploded"), "{e}");
                 } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 10, "healthy cell {i} lost");
+                    assert_eq!(r.as_ref().unwrap().0, i * 10, "healthy cell {i} lost");
                 }
             }
         }
     }
 
     #[test]
-    fn try_map_retries_until_success() {
+    fn isolate_retries_until_success() {
         let failures_left = AtomicUsize::new(2);
-        let policy = RetryPolicy {
-            max_retries: 3,
-            backoff: ExponentialBackoff::NONE,
-            deadline: None,
-        };
-        let out = par_try_map_indexed(1, 1, policy, move |i| {
+        let out = map(1, 1, isolate(3, None), move |i| {
             if failures_left
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
                 .is_ok()
@@ -633,17 +494,12 @@ mod tests {
             }
             i + 1
         });
-        assert_eq!(out, vec![Ok(1)], "third attempt should have succeeded");
+        assert_eq!(values(out), vec![1], "third attempt should have succeeded");
     }
 
     #[test]
-    fn try_map_reports_attempt_count_on_exhaustion() {
-        let policy = RetryPolicy {
-            max_retries: 2,
-            backoff: ExponentialBackoff::NONE,
-            deadline: None,
-        };
-        let out = par_try_map_indexed(1, 1, policy, |_| -> usize { panic!("always") });
+    fn isolate_reports_attempt_count_on_exhaustion() {
+        let out = map(1, 1, isolate(2, None), |_| -> usize { panic!("always") });
         let e = out[0].as_ref().unwrap_err();
         assert_eq!(e.attempts, 3, "1 initial + 2 retries");
         assert!(!e.timed_out);
@@ -652,13 +508,10 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_runaway_cells() {
-        let policy = RetryPolicy {
-            max_retries: 5, // must NOT apply to timeouts
-            backoff: ExponentialBackoff::NONE,
-            deadline: Some(Duration::from_millis(40)),
-        };
-        let t0 = std::time::Instant::now();
-        let out = par_try_map_indexed(3, 2, policy, |i| {
+        // max_retries must NOT apply to timeouts.
+        let policy = isolate(5, Some(Duration::from_millis(40)));
+        let t0 = Instant::now();
+        let out = map(3, 2, policy, |i| {
             if i == 1 {
                 // A runaway cell: sleeps far past the deadline. The
                 // watchdog abandons it (the thread leaks until the sleep
@@ -671,8 +524,8 @@ mod tests {
             t0.elapsed() < Duration::from_secs(5),
             "watchdog failed to abandon the runaway cell"
         );
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[2], Ok(2));
+        assert_eq!(out[0].as_ref().unwrap().0, 0);
+        assert_eq!(out[2].as_ref().unwrap().0, 2);
         let e = out[1].as_ref().unwrap_err();
         assert!(e.timed_out);
         assert_eq!(e.attempts, 1, "timeouts must not be retried");
@@ -680,18 +533,16 @@ mod tests {
     }
 
     #[test]
-    fn try_map_profiled_preserves_results_and_errors() {
-        let out = par_try_map_indexed_profiled(4, 2, RetryPolicy::NONE, |i| {
-            if i == 2 {
-                panic!("profiled quarantine");
-            }
-            i
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 2 {
-                assert_eq!(r.as_ref().unwrap_err().index, 2);
-            } else {
-                assert_eq!(r.as_ref().unwrap().0, i);
+    fn every_ok_cell_carries_its_wall_time() {
+        for policy in [Policy::Strict, isolate(0, None)] {
+            let out = map(4, 2, policy, |i| {
+                std::thread::sleep(Duration::from_millis(2));
+                i
+            });
+            for (i, r) in out.iter().enumerate() {
+                let (v, wall) = r.as_ref().unwrap();
+                assert_eq!(*v, i);
+                assert!(*wall >= Duration::from_millis(2), "{policy:?}: {wall:?}");
             }
         }
     }
@@ -707,16 +558,12 @@ mod tests {
     #[test]
     fn balances_uneven_jobs() {
         // Jobs of wildly different cost still land in order.
-        let out = par_map_indexed(8, 3, |i| {
-            let spin = if i % 3 == 0 { 20_000 } else { 10 };
-            (0..spin).fold(i as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
-        });
-        let serial: Vec<u64> = (0..8)
-            .map(|i| {
-                let spin = if i % 3 == 0 { 20_000 } else { 10 };
-                (0..spin).fold(i as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
-            })
-            .collect();
+        let spin = |i: usize| {
+            let n = if i.is_multiple_of(3) { 20_000 } else { 10 };
+            (0..n).fold(i as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
+        };
+        let out = values(map(8, 3, Policy::Strict, spin));
+        let serial: Vec<u64> = (0..8).map(spin).collect();
         assert_eq!(out, serial);
     }
 }

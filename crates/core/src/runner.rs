@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ohm_hetero::Platform;
@@ -20,18 +20,14 @@ use ohm_sim::{ExponentialBackoff, Ps};
 use ohm_workloads::trace::{TraceError, TraceRecorder, TraceReplay};
 use ohm_workloads::WorkloadSpec;
 
-use crate::checkpoint::{self, CellSpec, FsyncPolicy, Journal};
+use crate::checkpoint::{self, CellSpec, Claim, FsyncPolicy, ResultCache};
 use crate::config::SystemConfig;
 use crate::metrics::{EnergyReport, SimReport};
-use crate::par::{
-    default_threads, par_map_indexed, par_map_indexed_profiled, par_try_map_indexed,
-    par_try_map_indexed_profiled, CellError, RetryPolicy,
-};
+use crate::par::{self, default_threads, CellError, Policy, RetryPolicy};
 use crate::system::System;
 
 /// Fluent builder for one simulation cell — the single-run counterpart
-/// of [`GridRun`], and the one typed execution surface behind the
-/// deprecated `run_platform`/`run_recorded`/`run_replay` trio.
+/// of [`GridRun`].
 ///
 /// Defaults: [`Platform::OhmBase`], [`OperationalMode::Planar`], the
 /// engine's own cell-thread default. The workload has no sensible
@@ -98,7 +94,7 @@ impl<'a> Run<'a> {
     }
 
     /// Requests intra-cell event-loop workers
-    /// ([`System::set_cell_threads`], DESIGN.md §3.8). Strict-mode
+    /// ([`System::set_cell_threads`], DESIGN.md §3.8). The
     /// results are bit-identical at any count; unset, the engine's
     /// `OHM_CELL_THREADS` default applies.
     pub fn cell_threads(mut self, cell_threads: usize) -> Self {
@@ -247,72 +243,6 @@ impl<R: std::io::BufRead + 'static> ReplayRun<'_, R> {
     }
 }
 
-/// Runs one platform/mode/workload combination.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(cfg).platform(p).mode(m).workload(spec).execute()`"
-)]
-pub fn run_platform(
-    cfg: &SystemConfig,
-    platform: Platform,
-    mode: OperationalMode,
-    spec: &WorkloadSpec,
-) -> SimReport {
-    Run::new(cfg)
-        .platform(platform)
-        .mode(mode)
-        .workload(spec)
-        .execute()
-}
-
-/// Runs one cell while capturing its instruction stream.
-///
-/// # Errors
-///
-/// [`TraceError::Io`] when the writer fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(cfg).platform(p).mode(m).workload(spec).record(out).execute()`"
-)]
-pub fn run_recorded<W: std::io::Write + 'static>(
-    cfg: &SystemConfig,
-    platform: Platform,
-    mode: OperationalMode,
-    spec: &WorkloadSpec,
-    out: W,
-) -> Result<(SimReport, W), TraceError> {
-    Run::new(cfg)
-        .platform(platform)
-        .mode(mode)
-        .workload(spec)
-        .record(out)
-        .execute()
-}
-
-/// Runs one cell driven by a recorded trace.
-///
-/// # Errors
-///
-/// As [`ReplayRun::execute`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(cfg).platform(p).mode(m).workload(spec).replay(reader).execute()`"
-)]
-pub fn run_replay<R: std::io::BufRead + 'static>(
-    cfg: &SystemConfig,
-    platform: Platform,
-    mode: OperationalMode,
-    spec: &WorkloadSpec,
-    reader: R,
-) -> Result<SimReport, TraceError> {
-    Run::new(cfg)
-        .platform(platform)
-        .mode(mode)
-        .workload(spec)
-        .replay(reader)
-        .execute()
-}
-
 /// Options for one grid run — the single entry point for sweeping
 /// platforms over workloads.
 ///
@@ -391,7 +321,7 @@ impl GridRun {
     /// re-budgeted at run time with
     /// [`budget_cell_threads`](crate::par::budget_cell_threads) so
     /// grid-level × cell-level workers never oversubscribe the machine;
-    /// strict-mode results are identical either way.
+    /// results are identical either way.
     pub fn cell_threads(mut self, cell_threads: usize) -> Self {
         self.cell_threads = cell_threads.max(1);
         self
@@ -411,13 +341,15 @@ impl GridRun {
         self
     }
 
-    /// Journals every completed cell to `path` and, on a later run with
-    /// the same path, replays verified records instead of re-simulating
-    /// (DESIGN.md §3.10). Cells are keyed by
+    /// Runs the grid through a [`ResultCache`] journalled at `path`
+    /// (DESIGN.md §3.10): every completed cell is appended as it
+    /// finishes, and a later run with the same path replays verified
+    /// records instead of re-simulating. Cells are keyed by
     /// [`checkpoint::cell_key`] — config, platform, mode, and workload
     /// content; worker counts and profiling flags deliberately excluded
-    /// — so a resumed run is bit-identical to an uninterrupted one,
-    /// with resumed cells reported as [`CellOutcome::Cached`].
+    /// — so a resumed run is bit-identical to an uninterrupted one.
+    /// Replayed cells, and cells repeating a key earlier in the same
+    /// grid (simulated once), are reported as [`CellOutcome::Cached`].
     ///
     /// The journal is opened (or created) at [`GridRun::run`] time;
     /// `run` panics with the [`JournalError`](crate::JournalError) if
@@ -468,8 +400,7 @@ impl GridRun {
     /// A cell that outlives it is abandoned — reported as
     /// [`CellOutcome::TimedOut`], never retried — while the rest of the
     /// sweep drains. The abandoned attempt's thread leaks until its
-    /// event loop returns (see
-    /// [`par_try_map_indexed`]).
+    /// event loop returns (see [`par::map`]).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self.isolate = true;
@@ -501,45 +432,51 @@ impl GridRun {
     ) -> GridResult {
         let cols = platforms.len();
         let n = specs.len() * cols;
-        let cell_threads = crate::par::budget_cell_threads(self.threads, self.cell_threads);
+        let cell_threads = par::budget_cell_threads(self.threads, self.cell_threads);
 
-        let journal: Arc<Option<Mutex<Journal>>> = Arc::new(self.checkpoint.as_ref().map(|p| {
-            Mutex::new(
-                Journal::open_with(p, self.fsync)
-                    .unwrap_or_else(|e| panic!("GridRun::checkpoint({}): {e}", p.display())),
-            )
+        let cache: Arc<Option<ResultCache<usize>>> = Arc::new(self.checkpoint.as_ref().map(|p| {
+            ResultCache::open(p, self.fsync)
+                .unwrap_or_else(|e| panic!("GridRun::checkpoint({}): {e}", p.display()))
         }));
         let keys: Vec<u64> = (0..n)
             .map(|i| checkpoint::cell_key(cfg, platforms[i % cols], mode, &specs[i / cols]))
             .collect();
 
-        // Resolve cached cells from the journal before spinning up
-        // workers: a resumed run only pays for what is missing.
+        // Claim every cell before spinning up workers: a resumed run only
+        // pays for what is missing, and a key repeated within the grid
+        // parks behind its first occurrence instead of re-simulating.
         let mut slots: Vec<Option<SimReport>> = (0..n).map(|_| None).collect();
         let mut outcomes: Vec<CellOutcome> = vec![CellOutcome::Completed; n];
-        if let Some(j) = journal.as_ref() {
-            let j = j.lock().expect("journal lock");
-            for i in 0..n {
-                if let Some(r) = j.get(keys[i]) {
-                    slots[i] = Some(r.clone());
-                    outcomes[i] = CellOutcome::Cached;
+        let mut todo: Vec<usize> = Vec::with_capacity(n);
+        let mut parked: Vec<usize> = Vec::new();
+        match cache.as_ref() {
+            None => todo.extend(0..n),
+            Some(c) => {
+                for i in 0..n {
+                    match c.claim(keys[i], i) {
+                        Claim::Hit(r) => {
+                            slots[i] = Some(*r);
+                            outcomes[i] = CellOutcome::Cached;
+                        }
+                        Claim::Owner => todo.push(i),
+                        Claim::Parked => parked.push(i),
+                    }
                 }
             }
         }
-        let todo: Arc<Vec<usize>> = Arc::new((0..n).filter(|&i| slots[i].is_none()).collect());
+        let todo = Arc::new(todo);
         let m = todo.len();
         let done = Arc::new(AtomicUsize::new(n - m));
 
-        // One owned job serves all four execution paths; the isolated
-        // variants additionally require it to be `'static`, so the cell
-        // inputs are cloned in (cheap next to a simulation).
+        // `par::map` needs a `'static` job, so the cell inputs are
+        // cloned in (cheap next to a simulation).
         let job = {
             let cfg = cfg.clone();
             let platforms = platforms.to_vec();
             let specs = specs.to_vec();
             let todo = Arc::clone(&todo);
             let keys = keys.clone();
-            let journal = Arc::clone(&journal);
+            let cache = Arc::clone(&cache);
             let done = Arc::clone(&done);
             let progress = self.progress;
             move |j: usize| {
@@ -550,13 +487,11 @@ impl GridRun {
                     .workload(&specs[i / cols])
                     .cell_threads(cell_threads)
                     .execute();
-                // Journal inside the job, not after the sweep: a run
+                // Publish inside the job, not after the sweep: a run
                 // killed mid-grid keeps every cell that finished.
-                if let Some(jr) = journal.as_ref() {
-                    jr.lock()
-                        .expect("journal lock")
-                        .append(keys[i], &report)
-                        .unwrap_or_else(|e| panic!("checkpoint journal append: {e}"));
+                if let Some(c) = cache.as_ref() {
+                    let (_, appended) = c.complete(keys[i], &report);
+                    appended.unwrap_or_else(|e| panic!("checkpoint journal append: {e}"));
                 }
                 if progress {
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -570,63 +505,66 @@ impl GridRun {
             }
         };
 
-        let policy = RetryPolicy {
-            max_retries: self.max_retries,
-            backoff: self.backoff,
-            deadline: self.deadline,
+        let policy = if self.isolate {
+            Policy::Isolate(RetryPolicy {
+                max_retries: self.max_retries,
+                backoff: self.backoff,
+                deadline: self.deadline,
+            })
+        } else {
+            Policy::Strict
         };
-        type Executed = Vec<Result<(SimReport, Option<Duration>), CellError>>;
-        let executed: Executed = match (self.isolate, self.profile) {
-            (false, false) => par_map_indexed(m, self.threads, job)
-                .into_iter()
-                .map(|r| Ok((r, None)))
-                .collect(),
-            (false, true) => par_map_indexed_profiled(m, self.threads, job)
-                .into_iter()
-                .map(|(r, w)| Ok((r, Some(w))))
-                .collect(),
-            (true, false) => par_try_map_indexed(m, self.threads, policy, job)
-                .into_iter()
-                .map(|res| res.map(|r| (r, None)))
-                .collect(),
-            (true, true) => par_try_map_indexed_profiled(m, self.threads, policy, job)
-                .into_iter()
-                .map(|res| res.map(|(r, w)| (r, Some(w))))
-                .collect(),
-        };
-
-        let mut walls: Vec<Option<Duration>> = vec![None; n];
-        for (j, res) in executed.into_iter().enumerate() {
+        let mut walls = vec![Duration::ZERO; n];
+        for (j, res) in par::map(m, self.threads, policy, job)
+            .into_iter()
+            .enumerate()
+        {
             let i = todo[j];
             match res {
                 Ok((report, wall)) => {
                     walls[i] = wall;
                     slots[i] = Some(report);
                 }
-                Err(mut e) => {
-                    // The try-map reported the todo-local index; grid
+                Err(e) => {
+                    // The map reported the todo-local index; grid
                     // consumers want the row-major cell index.
-                    e.index = i;
-                    outcomes[i] = if e.timed_out {
-                        CellOutcome::TimedOut(e)
-                    } else {
-                        CellOutcome::Quarantined(e)
-                    };
-                    slots[i] = Some(tombstone(platforms[i % cols], mode, &specs[i / cols]));
+                    outcomes[i] = failed(CellError { index: i, ..e });
                 }
             }
         }
+        // A repeated key takes its first occurrence's report, or shares
+        // its failure.
+        for i in parked {
+            let owner = keys
+                .iter()
+                .position(|&k| k == keys[i])
+                .expect("parked behind an owner");
+            outcomes[i] = match outcomes[owner].error() {
+                Some(e) => failed(CellError {
+                    index: i,
+                    ..e.clone()
+                }),
+                None => {
+                    slots[i] = slots[owner].clone();
+                    CellOutcome::Cached
+                }
+            };
+        }
+        // Failed cells hold a zeroed placeholder.
         let cells: Vec<SimReport> = slots
             .into_iter()
-            .map(|s| s.expect("every cell resolved"))
+            .enumerate()
+            .map(|(i, s)| {
+                s.unwrap_or_else(|| tombstone(platforms[i % cols], mode, &specs[i / cols]))
+            })
             .collect();
+        // Cached and failed cells carry zero wall time: nothing was
+        // simulated for them this run.
         let profiles = self.profile.then(|| {
-            // Cached and failed cells carry zero wall time: nothing was
-            // simulated for them this run.
             cells
                 .iter()
                 .zip(&walls)
-                .map(|(r, w)| CellProfile::new(r, w.unwrap_or(Duration::ZERO)))
+                .map(|(r, &w)| CellProfile::new(r, w))
                 .collect()
         });
         GridResult {
@@ -634,6 +572,15 @@ impl GridRun {
             profiles,
             outcomes,
         }
+    }
+}
+
+/// The outcome of a cell that produced a [`CellError`].
+fn failed(e: CellError) -> CellOutcome {
+    if e.timed_out {
+        CellOutcome::TimedOut(e)
+    } else {
+        CellOutcome::Quarantined(e)
     }
 }
 
@@ -935,7 +882,7 @@ mod tests {
             .cell_threads(1)
             .run(&cfg, &platforms, OperationalMode::Planar, &specs)
             .rows;
-        // Grid workers × cell workers together; strict mode keeps the
+        // Grid workers × cell workers together; sharding keeps the
         // reports bit-identical while the budget caps oversubscription.
         let sharded = GridRun::new()
             .threads(2)

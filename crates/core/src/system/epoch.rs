@@ -13,10 +13,10 @@
 //! parallel on the shard workers (phase B), and the results — statistics
 //! and queue pushes — are committed in pop order (phase C).
 //!
-//! # Strict mode
+//! # Serial equivalence
 //!
-//! In strict mode (the default) the result is *bit-identical* to the
-//! serial loop at every thread count:
+//! The result is *bit-identical* to the serial loop at every thread
+//! count:
 //!
 //! - Phase A mirrors the serial loop's pop order exactly: the
 //!   `(time, entry, slot)` keys of [`EpochQueue`] reproduce the serial
@@ -39,17 +39,6 @@
 //!   calls and phase C replays them in pop order, so order-sensitive
 //!   accumulators (running means, time series) see the exact serial
 //!   sequence of `f64` operations.
-//!
-//! # Relaxed mode
-//!
-//! [`System::set_relaxed_window`](super::System::set_relaxed_window)
-//! stretches the lookahead window by a multiplier. Epochs get longer and
-//! barriers fewer, but a deferred push may now land before events that
-//! already popped; it is clamped to the queue's current time, which
-//! perturbs timing slightly. Results remain deterministic (the epoch
-//! structure does not depend on the worker count), just no longer equal
-//! to the serial schedule. EXPERIMENTS.md records the accuracy/speed
-//! trade-off.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -63,10 +52,8 @@ use super::memory::{mc_of_addr, parts_read, parts_write, McShard, PendingRelease
 use super::stats::{RunStats, StatsSink};
 use super::warp::{Event, SliceOutcome, WarpEngine};
 
-/// Hard cap on events popped per epoch. Purely a scheduling knob: in
-/// strict mode results are order-exact wherever the epoch boundary
-/// falls, and the boundary itself never depends on the worker count, so
-/// relaxed-mode results are also reproducible across thread counts.
+/// Hard cap on events popped per epoch. Purely a scheduling knob:
+/// results are order-exact wherever the epoch boundary falls.
 const BATCH_CAP: usize = 1024;
 
 /// Splits `total` controllers into `parts` contiguous, near-equal
@@ -359,7 +346,6 @@ pub(crate) fn run_sharded(
     shards: Vec<McShard<'_>>,
     ports: Vec<PortShard<'_>>,
     floor: Ps,
-    strict: bool,
 ) -> ([u64; 2], u64) {
     let nsh = shards.len();
     debug_assert_eq!(nsh, ports.len());
@@ -582,7 +568,7 @@ pub(crate) fn run_sharded(
                             if let Some((s, j)) = victim {
                                 let vo = &guards[*s as usize].outs[*j as usize];
                                 for &(at, mc, id) in &vo.pendings {
-                                    debug_assert!(!strict || at >= engine.queue.now());
+                                    debug_assert!(at >= engine.queue.now());
                                     engine.queue.push_deferred(
                                         *entry,
                                         slot,
@@ -593,7 +579,7 @@ pub(crate) fn run_sharded(
                                 }
                             }
                             for &(at, mc, id) in &mo.pendings {
-                                debug_assert!(!strict || at >= engine.queue.now());
+                                debug_assert!(at >= engine.queue.now());
                                 engine.queue.push_deferred(
                                     *entry,
                                     slot,
@@ -604,7 +590,7 @@ pub(crate) fn run_sharded(
                             }
                             stats.record_slice_latency(mo.resume_at - *t_pop);
                             if !*store {
-                                debug_assert!(!strict || mo.resume_at >= engine.queue.now());
+                                debug_assert!(mo.resume_at >= engine.queue.now());
                                 engine.queue.push_deferred_final(
                                     *entry,
                                     mo.resume_at,

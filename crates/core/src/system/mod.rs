@@ -89,9 +89,6 @@ pub struct System {
     /// Worker threads for this cell's event loop (1 = serial). See
     /// [`System::set_cell_threads`].
     cell_threads: usize,
-    /// Lookahead-window multiplier for relaxed-mode sharding; `None`
-    /// (strict, the default) keeps results bit-identical to serial.
-    relax_window: Option<f64>,
     /// Whether the last [`System::run`] actually engaged the sharded
     /// scheduler (it falls back to serial when the configuration cannot
     /// be partitioned).
@@ -208,7 +205,6 @@ impl System {
             cfg: cfg.clone(),
             pending_scratch: Vec::new(),
             cell_threads: default_cell_threads(),
-            relax_window: None,
             used_parallel: false,
         }
     }
@@ -216,8 +212,8 @@ impl System {
     /// Requests `n` worker threads for this cell's event loop
     /// (DESIGN.md §3.8). With `n >= 2` the run shards the memory
     /// controllers across workers and commits events in lookahead
-    /// epochs; in strict mode (the default) the report is bit-identical
-    /// to the serial loop at every thread count. Configurations the
+    /// epochs; the report is bit-identical to the serial loop at every
+    /// thread count. Configurations the
     /// partitioner cannot split (observability, armed fault injection,
     /// dynamic channel division, the Origin host model) fall back to the
     /// serial loop. Grid drivers should budget with
@@ -225,16 +221,6 @@ impl System {
     /// oversubscribe the machine.
     pub fn set_cell_threads(&mut self, n: usize) {
         self.cell_threads = n.max(1);
-    }
-
-    /// Stretches the sharding lookahead window by `multiplier` (>= 1),
-    /// trading strict serial equivalence for fewer epoch barriers.
-    /// Deferred pushes that land inside the stretched window are clamped
-    /// to the queue's current time, so timing is approximate (still
-    /// deterministic for a given thread configuration); EXPERIMENTS.md
-    /// quantifies the error.
-    pub fn set_relaxed_window(&mut self, multiplier: f64) {
-        self.relax_window = Some(multiplier.max(1.0));
     }
 
     /// Whether the last [`System::run`] engaged the sharded scheduler.
@@ -316,10 +302,6 @@ impl System {
         let floor = self.cfg.gpu.l1_hit_latency
             + self.xbar.min_latency(CMD_BITS / 8)
             + self.cfg.gpu.l2_hit_latency;
-        let floor = match self.relax_window {
-            None => floor,
-            Some(m) => Ps::from_ps((floor.as_ps() as f64 * m) as u64),
-        };
         let ctrl_div = self.mem.ctrl_div();
         let Some(shards) = self.mem.split_shards(&counts) else {
             return false;
@@ -335,7 +317,6 @@ impl System {
             shards,
             ports,
             floor,
-            self.relax_window.is_none(),
         );
         self.mem.fabric.merge_shard_bits(bits);
         self.xbar.add_messages(msgs);

@@ -141,6 +141,38 @@ fn resume_ignores_harness_knobs_but_not_config() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn repeated_cells_simulate_once_and_read_cached() {
+    let (cfg, _, specs) = grid_inputs();
+    let platforms = [Platform::OhmBase];
+    let repeated = vec![specs[0], specs[1], specs[0]];
+    let path = scratch_journal("repeated");
+
+    let result = GridRun::new().threads(2).checkpoint(&path).run(
+        &cfg,
+        &platforms,
+        OperationalMode::Planar,
+        &repeated,
+    );
+    assert_eq!(
+        result.outcomes,
+        [
+            CellOutcome::Completed,
+            CellOutcome::Completed,
+            CellOutcome::Cached
+        ],
+        "the repeated cell must park behind its first occurrence"
+    );
+    // One `REC` per unique key.
+    let journal = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(journal.lines().filter(|l| l.starts_with("REC ")).count(), 2);
+    // Coalescing is invisible in the results.
+    let plain = GridRun::serial().run(&cfg, &platforms, OperationalMode::Planar, &repeated);
+    assert_eq!(result.digest(), plain.digest());
+
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A workload whose footprint is not a whole number of pages —
 /// `System::new` rejects it with a deterministic panic, the test
 /// vehicle for quarantine.
@@ -213,7 +245,8 @@ fn retries_are_counted_and_bounded() {
 #[test]
 fn isolated_checkpoint_journals_only_completed_cells() {
     let (cfg, _, mut specs) = grid_inputs();
-    specs.push(poison_spec());
+    // The poison cell twice: its repeat is quarantined with it.
+    specs.extend([poison_spec(), poison_spec()]);
     let platforms = [Platform::OhmBase];
     let path = scratch_journal("quarantine");
 
@@ -223,11 +256,12 @@ fn isolated_checkpoint_journals_only_completed_cells() {
         OperationalMode::Planar,
         &specs,
     );
-    assert_eq!(result.failures().count(), 1);
+    let failed: Vec<usize> = result.failures().map(|e| e.index).collect();
+    assert_eq!(failed, [specs.len() - 2, specs.len() - 1]);
 
     // Quarantined cells must never be journalled as results.
     let journal = Journal::open(&path).unwrap();
-    assert_eq!(journal.len(), specs.len() - 1);
+    assert_eq!(journal.len(), specs.len() - 2);
 
     // A resume replays the healthy cells and re-attempts the poison one
     // (it is not silently dropped).
@@ -243,9 +277,9 @@ fn isolated_checkpoint_journals_only_completed_cells() {
             .iter()
             .filter(|o| **o == CellOutcome::Cached)
             .count(),
-        specs.len() - 1
+        specs.len() - 2
     );
-    assert_eq!(resumed.failures().count(), 1);
+    assert_eq!(resumed.failures().count(), 2);
     assert_eq!(resumed.digest(), result.digest());
 
     let _ = std::fs::remove_file(&path);

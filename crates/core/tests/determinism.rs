@@ -10,7 +10,6 @@
 use ohm_core::config::SystemConfig;
 use ohm_core::fault::{FaultPlan, LifecyclePlan};
 use ohm_core::runner::GridRun;
-use ohm_core::sweep::{sweep_serial, sweep_threaded};
 use ohm_core::system::System;
 use ohm_core::SimReport;
 use ohm_hetero::Platform;
@@ -133,68 +132,4 @@ fn origin_falls_back_to_serial() {
     let (got, engaged) = report_at(&cfg, Platform::Origin, "lud", 4);
     assert!(!engaged, "origin must not shard");
     assert_eq!(reference, got);
-}
-
-/// Relaxed mode trades serial equivalence for longer epochs: it must
-/// still complete, stay deterministic for a fixed thread count, and land
-/// near the strict timing (EXPERIMENTS.md quantifies the error; this
-/// only guards against gross breakage).
-#[test]
-fn relaxed_window_is_deterministic_and_close() {
-    let cfg = SystemConfig::quick_test();
-    let spec = workload_by_name("pagerank").unwrap();
-    let strict = report_at(&cfg, Platform::OhmBase, "pagerank", 1).0;
-    let run_relaxed = || {
-        let mut sys = System::new(&cfg, Platform::OhmBase, OperationalMode::Planar, &spec);
-        sys.set_cell_threads(4);
-        sys.set_relaxed_window(2.0);
-        let r = sys.run();
-        assert!(sys.used_cell_parallelism());
-        r
-    };
-    let a = run_relaxed();
-    let b = run_relaxed();
-    assert_eq!(a, b, "relaxed mode must stay deterministic");
-    let drift = (a.ipc - strict.ipc).abs() / strict.ipc;
-    assert!(
-        drift < 0.05,
-        "relaxed ipc {} drifted {:.2}% from strict {}",
-        a.ipc,
-        drift * 100.0,
-        strict.ipc
-    );
-}
-
-#[test]
-fn parallel_sweep_matches_serial_bit_for_bit() {
-    let base = SystemConfig::quick_test();
-    let spec = workload_by_name("pagerank").unwrap();
-    let knobs = [1u32, 2, 4, 8];
-    let configure = |cfg: &mut SystemConfig, &w: &u32| cfg.optical.waveguides = w;
-    let serial = sweep_serial(
-        &base,
-        Platform::OhmBw,
-        OperationalMode::Planar,
-        &spec,
-        knobs,
-        configure,
-    );
-    let threaded = sweep_threaded(
-        &base,
-        Platform::OhmBw,
-        OperationalMode::Planar,
-        &spec,
-        knobs,
-        configure,
-        4,
-    );
-    assert_eq!(serial.len(), threaded.len());
-    for (s, t) in serial.iter().zip(&threaded) {
-        assert_eq!(s.value, t.value, "sweep points out of order");
-        assert_eq!(
-            s.report, t.report,
-            "thread count changed sweep point {}",
-            s.value
-        );
-    }
 }

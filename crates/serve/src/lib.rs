@@ -3,10 +3,10 @@
 //! A long-lived process that accepts sweep jobs over HTTP/JSON,
 //! schedules their cells onto a resident work-stealing worker pool, and
 //! streams per-cell results back as NDJSON the moment each cell lands.
-//! The centerpiece is a **shared content-addressed result cache**: every
-//! result is stored once, keyed by [`CellSpec::key`] — the same
-//! canonical content hash `GridRun::checkpoint` uses — and backed by
-//! the `ohm-journal v1` format on disk. Overlapping sweeps from
+//! The centerpiece is a **shared content-addressed result cache**
+//! ([`ResultCache`], the same store `GridRun::checkpoint` runs
+//! through): every result is stored once, keyed by [`CellSpec::key`],
+//! and backed by the `ohm-journal v1` format on disk. Overlapping sweeps from
 //! concurrent clients therefore share work (the overlap is served
 //! cached or coalesced onto an in-flight simulation, with zero
 //! re-simulation), and a `SIGKILL`ed server resumes every half-finished
@@ -32,17 +32,16 @@
 //! ```
 //!
 //! [`CellSpec::key`]: ohm_core::checkpoint::CellSpec::key
+//! [`ResultCache`]: ohm_core::checkpoint::ResultCache
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
 pub mod pool;
 pub mod server;
 
-pub use cache::{CacheStats, Claim, ResultCache};
 pub use client::{Client, Response};
 pub use job::{parse_job, CellResolution, Job, JobSpec};
 pub use server::{ServeOptions, Server};

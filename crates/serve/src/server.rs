@@ -30,11 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use ohm_core::checkpoint::FsyncPolicy;
+use ohm_core::checkpoint::{Claim, FsyncPolicy, ResultCache};
 use ohm_core::json::escape_json;
 use ohm_core::par::{budget_cell_threads, default_threads};
 
-use crate::cache::{Claim, ResultCache};
 use crate::http::{read_request, write_response, write_stream_header, HttpError, Request};
 use crate::job::{parse_job, CellResolution, Job};
 use crate::pool::WorkerPool;
