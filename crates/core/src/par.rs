@@ -10,10 +10,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-use ohm_sim::{ExponentialBackoff, Ps};
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -60,60 +57,29 @@ fn last_panicked_cell() -> Option<usize> {
     LAST_PANICKED_CELL.load(Ordering::Relaxed).checked_sub(1)
 }
 
-/// A cell that could not produce a result: it panicked on every allowed
-/// attempt, or ran past the wall-clock deadline.
+/// A cell whose job panicked.
 ///
 /// Produced by [`map`] under [`Policy::Isolate`]; surfaced by the runner
-/// as a quarantined or timed-out
-/// [`CellOutcome`](crate::runner::CellOutcome).
+/// as a quarantined [`CellOutcome`](crate::runner::CellOutcome).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
     /// The cell's index in `0..n` (row-major grid order in the runner).
     pub index: usize,
-    /// The panic payload rendered as text (or a deadline message).
+    /// The panic payload rendered as text.
     pub payload: String,
-    /// How many attempts were made before giving up.
-    pub attempts: u32,
-    /// `true` when the cell was abandoned for exceeding the deadline
-    /// rather than panicking. Timed-out cells are never retried.
-    pub timed_out: bool,
 }
 
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cell {} failed after {} attempt{}: {}",
-            self.index,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.payload
-        )
+        write!(f, "cell {} panicked: {}", self.index, self.payload)
     }
 }
 
 impl std::error::Error for CellError {}
 
-/// Fault-isolation knobs for [`Policy::Isolate`]: how often a panicking
-/// cell is retried, how retries are spaced, and how long any single
-/// attempt may run.
-///
-/// The backoff schedule is the simulator's own [`ExponentialBackoff`],
-/// re-used here for *wall-clock* waits: a [`Ps`] delay is slept as the
-/// same span of real time (truncated to the nanosecond, `Duration`'s
-/// resolution) — `Ps::from_ms(50)` means 50 ms of wall clock here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt (0 = one attempt only).
-    pub max_retries: u32,
-    /// Wall-clock spacing between attempts (1-based, attempt 0 free).
-    pub backoff: ExponentialBackoff,
-    /// Wall-clock budget for a single attempt; `None` disables the
-    /// watchdog entirely (no monitor thread is spawned).
-    pub deadline: Option<Duration>,
-}
-
-/// What [`map`] does with a panicking cell.
+/// What [`map`] does with a panicking cell. Either way each cell runs
+/// once: the simulator is deterministic, so a cell that panicked would
+/// panic the same way again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Workers stop taking new cells after the first panic and the map
@@ -121,135 +87,25 @@ pub enum Policy {
     /// message naming every failed cell for several. A strict map
     /// therefore never returns an `Err`.
     Strict,
-    /// Each panicking cell is retried under the [`RetryPolicy`], then
-    /// returned as a [`CellError`] while every other cell completes.
-    Isolate(RetryPolicy),
+    /// A panicking cell is returned as a [`CellError`] while every other
+    /// cell completes.
+    Isolate,
 }
 
-/// Converts a [`Ps`] backoff delay into the wall-clock sleep it stands
-/// for in a [`RetryPolicy`]: the same span of real time, truncated to
-/// `Duration`'s nanosecond resolution.
-fn wall(d: Ps) -> Duration {
-    Duration::from_nanos(d.as_ps() / 1_000)
-}
-
-/// A result plus the wall-clock time of the attempt that produced it.
+/// A result plus the wall-clock time of the job that produced it.
 type Timed<R> = (R, Duration);
-
-/// What a failed attempt left behind.
-enum AttemptError {
-    Panicked(Box<dyn Any + Send>),
-    TimedOut(Duration),
-}
-
-/// Runs and times one attempt of `job(i)`, catching panics; with a
-/// deadline the job runs on a detached monitor thread and the attempt
-/// is abandoned (the thread leaks until the job returns — see [`map`])
-/// when the deadline passes.
-fn run_attempt<R, F>(
-    job: &Arc<F>,
-    i: usize,
-    deadline: Option<Duration>,
-) -> Result<Timed<R>, AttemptError>
-where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
-{
-    let timed = move |job: &F| {
-        let t0 = Instant::now();
-        let r = job(i);
-        (r, t0.elapsed())
-    };
-    let Some(limit) = deadline else {
-        return catch_unwind(AssertUnwindSafe(|| timed(job))).map_err(AttemptError::Panicked);
-    };
-    let (tx, rx) = mpsc::channel();
-    let job = Arc::clone(job);
-    std::thread::Builder::new()
-        .name(format!("ohm-cell-{i}"))
-        .spawn(move || {
-            // The receiver may be gone (deadline already passed) — that
-            // is fine, the result is simply dropped.
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| timed(&job))));
-        })
-        .expect("spawn watchdogged cell thread");
-    match rx.recv_timeout(limit) {
-        Ok(r) => r.map_err(AttemptError::Panicked),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(AttemptError::TimedOut(limit)),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(AttemptError::Panicked(Box::new(
-            "cell worker vanished".to_string(),
-        ))),
-    }
-}
-
-/// Runs one cell to completion under an isolate policy: panics are
-/// retried with backoff up to the cap, a deadline overrun gives up
-/// immediately.
-fn try_cell<R, F>(job: &Arc<F>, i: usize, policy: &RetryPolicy) -> Result<Timed<R>, CellError>
-where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
-{
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match run_attempt(job, i, policy.deadline) {
-            Ok(r) => return Ok(r),
-            Err(AttemptError::TimedOut(limit)) => {
-                // A runaway cell is assumed deterministic — re-running it
-                // would burn another full deadline for the same outcome.
-                eprintln!("par::map: cell {i} exceeded {limit:?} deadline; abandoning");
-                return Err(CellError {
-                    index: i,
-                    payload: format!("exceeded {limit:?} wall-clock deadline"),
-                    attempts,
-                    timed_out: true,
-                });
-            }
-            Err(AttemptError::Panicked(payload)) => {
-                let last = attempts > policy.max_retries;
-                report_cell_panic(i, if last { "quarantining" } else { "retrying" });
-                if last {
-                    return Err(CellError {
-                        index: i,
-                        payload: payload_message(payload.as_ref()),
-                        attempts,
-                        timed_out: false,
-                    });
-                }
-                let delay = policy.backoff.delay(attempts);
-                if delay > Ps::ZERO {
-                    std::thread::sleep(wall(delay));
-                }
-            }
-        }
-    }
-}
-
-/// One worker-side cell outcome: strict panics keep their payload for
-/// the rethrow, isolated failures are already data.
-enum Failure {
-    Panic(Box<dyn Any + Send>),
-    Cell(CellError),
-}
 
 /// Maps `job` over `0..n` on up to `threads` workers, returning one
 /// `Result` per cell in index order, each `Ok` carrying the wall-clock
-/// time of the attempt that produced it.
+/// time of the job that produced it.
 ///
 /// Workers pull the next index from a shared counter (dynamic load
 /// balancing — simulation cells vary widely in cost) and tag each result
 /// with its index; the tags scatter results back into input order, so
-/// the output is independent of scheduling. With `threads <= 1` (which
-/// includes `n <= 1`) the map runs inline on the caller's thread and
-/// spawns no worker.
-///
-/// Under [`Policy::Isolate`] the `'static` bounds pay for the watchdog:
-/// with a deadline set, each attempt runs on a detached monitor thread
-/// so the caller can give up on it. An abandoned attempt **leaks its
-/// thread** until the job eventually returns — acceptable for a
-/// simulation cell stuck in a long event loop, but it means a deadline
-/// is a reporting mechanism, not a resource cap.
+/// the output is independent of scheduling. The workers are scoped
+/// threads, so `job` may borrow the caller's data. With `threads <= 1`
+/// (which includes `n <= 1`) the map runs inline on the caller's thread
+/// and spawns no worker.
 ///
 /// # Panics
 ///
@@ -264,10 +120,9 @@ pub fn map<R, F>(
     job: F,
 ) -> Vec<Result<Timed<R>, CellError>>
 where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
+    R: Send,
+    F: Fn(usize) -> R + Sync,
 {
-    let job = Arc::new(job);
     let next = AtomicUsize::new(0);
     // Under the strict policy a panicked cell flips this so the other
     // workers stop pulling new indices instead of burning through the
@@ -280,18 +135,18 @@ where
             if i >= n {
                 break;
             }
-            let r = match &policy {
-                Policy::Strict => run_attempt(&job, i, None).map_err(|e| match e {
-                    AttemptError::Panicked(p) => Failure::Panic(p),
-                    AttemptError::TimedOut(_) => unreachable!("strict attempts have no deadline"),
-                }),
-                Policy::Isolate(retry) => try_cell(&job, i, retry).map_err(Failure::Cell),
-            };
-            let stop = matches!(r, Err(Failure::Panic(_)));
-            local.push((i, r));
-            if stop {
-                poisoned.store(true, Ordering::Relaxed);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let t0 = Instant::now();
+                let r = job(i);
+                (r, t0.elapsed())
+            }));
+            if r.is_err() {
+                match policy {
+                    Policy::Strict => poisoned.store(true, Ordering::Relaxed),
+                    Policy::Isolate => report_cell_panic(i, "quarantining"),
+                }
             }
+            local.push((i, r));
         }
         local
     };
@@ -315,12 +170,17 @@ where
         debug_assert!(slots[i].is_none(), "index {i} produced twice");
         match r {
             Ok(v) => slots[i] = Some(Ok(v)),
-            Err(Failure::Cell(e)) => slots[i] = Some(Err(e)),
-            Err(Failure::Panic(p)) => panics.push((i, p)),
+            Err(p) => panics.push((i, p)),
         }
     }
-    if !panics.is_empty() {
+    if policy == Policy::Strict && !panics.is_empty() {
         rethrow(panics);
+    }
+    for (i, p) in panics {
+        slots[i] = Some(Err(CellError {
+            index: i,
+            payload: payload_message(p.as_ref()),
+        }));
     }
     slots
         .into_iter()
@@ -367,20 +227,19 @@ mod tests {
         out.into_iter().map(|r| r.unwrap().0).collect()
     }
 
-    fn isolate(max_retries: u32, deadline: Option<Duration>) -> Policy {
-        Policy::Isolate(RetryPolicy {
-            max_retries,
-            backoff: ExponentialBackoff::NONE,
-            deadline,
-        })
-    }
-
     #[test]
     fn preserves_input_order() {
         for threads in [1, 2, 4, 7] {
             let out = values(map(13, threads, Policy::Strict, |i| i * i));
             assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn job_may_borrow_the_callers_data() {
+        let data: Vec<u64> = (0..10).map(|i| i * 7).collect();
+        let out = values(map(data.len(), 3, Policy::Strict, |i| data[i] + 1));
+        assert_eq!(out, data.iter().map(|d| d + 1).collect::<Vec<_>>());
     }
 
     #[test]
@@ -426,9 +285,9 @@ mod tests {
         // barrier guarantees neither worker sees the poison flag before
         // pulling its index). The rethrown payload must name BOTH cells.
         let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let started = Arc::new(AtomicUsize::new(0));
+        let started = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            map(2, 2, Policy::Strict, move |i| {
+            map(2, 2, Policy::Strict, |i| {
                 started.fetch_add(1, Ordering::SeqCst);
                 while started.load(Ordering::SeqCst) < 2 {
                     std::hint::spin_loop();
@@ -461,7 +320,7 @@ mod tests {
     #[test]
     fn isolate_quarantines_without_killing_the_map() {
         for threads in [1, 3] {
-            let out = map(8, threads, isolate(0, None), |i| {
+            let out = map(8, threads, Policy::Isolate, |i| {
                 if i == 5 {
                     panic!("cell five exploded");
                 }
@@ -472,8 +331,6 @@ mod tests {
                 if i == 5 {
                     let e = r.as_ref().unwrap_err();
                     assert_eq!(e.index, 5);
-                    assert_eq!(e.attempts, 1);
-                    assert!(!e.timed_out);
                     assert!(e.payload.contains("cell five exploded"), "{e}");
                 } else {
                     assert_eq!(r.as_ref().unwrap().0, i * 10, "healthy cell {i} lost");
@@ -483,58 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn isolate_retries_until_success() {
-        let failures_left = AtomicUsize::new(2);
-        let out = map(1, 1, isolate(3, None), move |i| {
-            if failures_left
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok()
-            {
-                panic!("transient failure");
-            }
-            i + 1
-        });
-        assert_eq!(values(out), vec![1], "third attempt should have succeeded");
-    }
-
-    #[test]
-    fn isolate_reports_attempt_count_on_exhaustion() {
-        let out = map(1, 1, isolate(2, None), |_| -> usize { panic!("always") });
-        let e = out[0].as_ref().unwrap_err();
-        assert_eq!(e.attempts, 3, "1 initial + 2 retries");
-        assert!(!e.timed_out);
-        assert!(e.payload.contains("always"));
-    }
-
-    #[test]
-    fn watchdog_times_out_runaway_cells() {
-        // max_retries must NOT apply to timeouts.
-        let policy = isolate(5, Some(Duration::from_millis(40)));
-        let t0 = Instant::now();
-        let out = map(3, 2, policy, |i| {
-            if i == 1 {
-                // A runaway cell: sleeps far past the deadline. The
-                // watchdog abandons it (the thread leaks until the sleep
-                // ends; the test binary exits without joining it).
-                std::thread::sleep(Duration::from_secs(10));
-            }
-            i
-        });
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "watchdog failed to abandon the runaway cell"
-        );
-        assert_eq!(out[0].as_ref().unwrap().0, 0);
-        assert_eq!(out[2].as_ref().unwrap().0, 2);
-        let e = out[1].as_ref().unwrap_err();
-        assert!(e.timed_out);
-        assert_eq!(e.attempts, 1, "timeouts must not be retried");
-        assert!(e.payload.contains("deadline"), "{e}");
-    }
-
-    #[test]
     fn every_ok_cell_carries_its_wall_time() {
-        for policy in [Policy::Strict, isolate(0, None)] {
+        for policy in [Policy::Strict, Policy::Isolate] {
             let out = map(4, 2, policy, |i| {
                 std::thread::sleep(Duration::from_millis(2));
                 i
@@ -545,14 +352,6 @@ mod tests {
                 assert!(*wall >= Duration::from_millis(2), "{policy:?}: {wall:?}");
             }
         }
-    }
-
-    #[test]
-    fn backoff_delay_maps_to_wall_clock() {
-        assert_eq!(wall(Ps::from_ps(0)), Duration::ZERO);
-        assert_eq!(wall(Ps::from_ms(2)), Duration::from_millis(2));
-        // Sub-nanosecond remainders truncate.
-        assert_eq!(wall(Ps::from_ps(1_999)), Duration::from_nanos(1));
     }
 
     #[test]

@@ -4,26 +4,24 @@
 //! [`Run`] is the fluent single-cell builder (plain, trace-recorded, or
 //! trace-replayed execution of one platform/mode/workload cell), and
 //! [`GridRun`] sweeps platforms over workloads — an options struct
-//! selecting worker count, per-cell wall-clock profiling, stderr
-//! progress, checkpointing and fault isolation. The figure harnesses in
+//! selecting worker counts, per-cell wall-clock profiling,
+//! checkpointing and fault isolation. The figure harnesses in
 //! `ohm-bench` and the `ohm-serve` daemon both run cells through these
 //! and nothing else.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
-use ohm_sim::{ExponentialBackoff, Ps};
+use ohm_sim::Ps;
 use ohm_workloads::trace::{TraceError, TraceRecorder, TraceReplay};
 use ohm_workloads::WorkloadSpec;
 
 use crate::checkpoint::{self, CellSpec, Claim, FsyncPolicy, ResultCache};
 use crate::config::SystemConfig;
 use crate::metrics::{EnergyReport, SimReport};
-use crate::par::{self, default_threads, CellError, Policy, RetryPolicy};
+use crate::par::{self, default_threads, CellError, Policy};
 use crate::system::System;
 
 /// Fluent builder for one simulation cell — the single-run counterpart
@@ -267,13 +265,9 @@ pub struct GridRun {
     threads: usize,
     cell_threads: usize,
     profile: bool,
-    progress: bool,
     checkpoint: Option<PathBuf>,
     fsync: FsyncPolicy,
     isolate: bool,
-    max_retries: u32,
-    backoff: ExponentialBackoff,
-    deadline: Option<Duration>,
 }
 
 impl Default for GridRun {
@@ -283,23 +277,16 @@ impl Default for GridRun {
 }
 
 impl GridRun {
-    /// A grid run over all available cores, without profiling or
-    /// progress output — strict mode, no checkpoint.
+    /// A grid run over all available cores, without profiling —
+    /// strict mode, no checkpoint.
     pub fn new() -> Self {
         GridRun {
             threads: default_threads(),
             cell_threads: crate::system::default_cell_threads(),
             profile: false,
-            progress: false,
             checkpoint: None,
             fsync: FsyncPolicy::OnClose,
             isolate: false,
-            max_retries: 0,
-            backoff: ExponentialBackoff {
-                base: Ps::from_ms(100),
-                cap: Ps::from_ms(2_000),
-            },
-            deadline: None,
         }
     }
 
@@ -333,14 +320,6 @@ impl GridRun {
         self
     }
 
-    /// Prints one `[done/total] platform workload` line to stderr as
-    /// each cell completes. Completion order is nondeterministic under
-    /// parallelism; simulated results are unaffected.
-    pub fn progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
     /// Runs the grid through a [`ResultCache`] journalled at `path`
     /// (DESIGN.md §3.10): every completed cell is appended as it
     /// finishes, and a later run with the same path replays verified
@@ -369,41 +348,12 @@ impl GridRun {
         self
     }
 
-    /// Switches per-cell fault isolation on: a panicking cell is retried
-    /// with exponential backoff up to [`GridRun::max_retries`], then
+    /// Switches per-cell fault isolation on: a panicking cell is
     /// quarantined as a [`CellOutcome::Quarantined`] while every other
     /// cell completes. Off (strict mode, the default), a panicking cell
-    /// rethrows and tears down the whole grid — exactly today's
-    /// contract.
+    /// rethrows and tears down the whole grid.
     pub fn isolate(mut self, isolate: bool) -> Self {
         self.isolate = isolate;
-        self
-    }
-
-    /// Retries allowed per panicking cell before quarantine (implies
-    /// [`GridRun::isolate`]). Default 0: quarantine on first panic.
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self.isolate = true;
-        self
-    }
-
-    /// Wall-clock spacing between retry attempts of a panicking cell.
-    /// The [`Ps`] schedule is interpreted as real time (`Ps::from_ms(100)`
-    /// = 100 ms); default 100 ms doubling to a 2 s cap.
-    pub fn retry_backoff(mut self, backoff: ExponentialBackoff) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Wall-clock budget per cell attempt (implies [`GridRun::isolate`]).
-    /// A cell that outlives it is abandoned — reported as
-    /// [`CellOutcome::TimedOut`], never retried — while the rest of the
-    /// sweep drains. The abandoned attempt's thread leaks until its
-    /// event loop returns (see [`par::map`]).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self.isolate = true;
         self
     }
 
@@ -434,10 +384,10 @@ impl GridRun {
         let n = specs.len() * cols;
         let cell_threads = par::budget_cell_threads(self.threads, self.cell_threads);
 
-        let cache: Arc<Option<ResultCache<usize>>> = Arc::new(self.checkpoint.as_ref().map(|p| {
+        let cache = self.checkpoint.as_ref().map(|p| {
             ResultCache::open(p, self.fsync)
                 .unwrap_or_else(|e| panic!("GridRun::checkpoint({}): {e}", p.display()))
-        }));
+        });
         let keys: Vec<u64> = (0..n)
             .map(|i| checkpoint::cell_key(cfg, platforms[i % cols], mode, &specs[i / cols]))
             .collect();
@@ -449,7 +399,7 @@ impl GridRun {
         let mut outcomes: Vec<CellOutcome> = vec![CellOutcome::Completed; n];
         let mut todo: Vec<usize> = Vec::with_capacity(n);
         let mut parked: Vec<usize> = Vec::new();
-        match cache.as_ref() {
+        match &cache {
             None => todo.extend(0..n),
             Some(c) => {
                 for i in 0..n {
@@ -464,58 +414,30 @@ impl GridRun {
                 }
             }
         }
-        let todo = Arc::new(todo);
-        let m = todo.len();
-        let done = Arc::new(AtomicUsize::new(n - m));
 
-        // `par::map` needs a `'static` job, so the cell inputs are
-        // cloned in (cheap next to a simulation).
-        let job = {
-            let cfg = cfg.clone();
-            let platforms = platforms.to_vec();
-            let specs = specs.to_vec();
-            let todo = Arc::clone(&todo);
-            let keys = keys.clone();
-            let cache = Arc::clone(&cache);
-            let done = Arc::clone(&done);
-            let progress = self.progress;
-            move |j: usize| {
-                let i = todo[j];
-                let report = Run::new(&cfg)
-                    .platform(platforms[i % cols])
-                    .mode(mode)
-                    .workload(&specs[i / cols])
-                    .cell_threads(cell_threads)
-                    .execute();
-                // Publish inside the job, not after the sweep: a run
-                // killed mid-grid keeps every cell that finished.
-                if let Some(c) = cache.as_ref() {
-                    let (_, appended) = c.complete(keys[i], &report);
-                    appended.unwrap_or_else(|e| panic!("checkpoint journal append: {e}"));
-                }
-                if progress {
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "[{finished}/{n}] {} {}",
-                        report.platform.name(),
-                        report.workload
-                    );
-                }
-                report
+        let job = |j: usize| {
+            let i = todo[j];
+            let report = Run::new(cfg)
+                .platform(platforms[i % cols])
+                .mode(mode)
+                .workload(&specs[i / cols])
+                .cell_threads(cell_threads)
+                .execute();
+            // Publish inside the job, not after the sweep: a run killed
+            // mid-grid keeps every cell that finished.
+            if let Some(c) = &cache {
+                let (_, appended) = c.complete(keys[i], &report);
+                appended.unwrap_or_else(|e| panic!("checkpoint journal append: {e}"));
             }
+            report
         };
-
         let policy = if self.isolate {
-            Policy::Isolate(RetryPolicy {
-                max_retries: self.max_retries,
-                backoff: self.backoff,
-                deadline: self.deadline,
-            })
+            Policy::Isolate
         } else {
             Policy::Strict
         };
         let mut walls = vec![Duration::ZERO; n];
-        for (j, res) in par::map(m, self.threads, policy, job)
+        for (j, res) in par::map(todo.len(), self.threads, policy, job)
             .into_iter()
             .enumerate()
         {
@@ -528,7 +450,7 @@ impl GridRun {
                 Err(e) => {
                     // The map reported the todo-local index; grid
                     // consumers want the row-major cell index.
-                    outcomes[i] = failed(CellError { index: i, ..e });
+                    outcomes[i] = CellOutcome::Quarantined(CellError { index: i, ..e });
                 }
             }
         }
@@ -540,7 +462,7 @@ impl GridRun {
                 .position(|&k| k == keys[i])
                 .expect("parked behind an owner");
             outcomes[i] = match outcomes[owner].error() {
-                Some(e) => failed(CellError {
+                Some(e) => CellOutcome::Quarantined(CellError {
                     index: i,
                     ..e.clone()
                 }),
@@ -575,20 +497,11 @@ impl GridRun {
     }
 }
 
-/// The outcome of a cell that produced a [`CellError`].
-fn failed(e: CellError) -> CellOutcome {
-    if e.timed_out {
-        CellOutcome::TimedOut(e)
-    } else {
-        CellOutcome::Quarantined(e)
-    }
-}
-
-/// Placeholder report occupying the row slot of a quarantined or
-/// timed-out cell: identity fields set, every measurement zero, every
-/// optional section absent. Consumers that care must consult
-/// [`GridResult::outcomes`]; the zeros keep downstream arithmetic
-/// finite (`normalize_ipc` already guards zero baselines).
+/// Placeholder report occupying the row slot of a quarantined cell:
+/// identity fields set, every measurement zero, every optional section
+/// absent. Consumers that care must consult [`GridResult::outcomes`];
+/// the zeros keep downstream arithmetic finite (`normalize_ipc` already
+/// guards zero baselines).
 fn tombstone(platform: Platform, mode: OperationalMode, spec: &WorkloadSpec) -> SimReport {
     SimReport {
         platform,
@@ -628,20 +541,17 @@ pub enum CellOutcome {
     Completed,
     /// Replayed from the checkpoint journal without re-simulating.
     Cached,
-    /// Panicked on every allowed attempt ([`GridRun::max_retries`]); the
-    /// row slot holds a zeroed placeholder.
+    /// Panicked under [`GridRun::isolate`]; the row slot holds a zeroed
+    /// placeholder.
     Quarantined(CellError),
-    /// Abandoned for exceeding [`GridRun::deadline`]; the row slot holds
-    /// a zeroed placeholder.
-    TimedOut(CellError),
 }
 
 impl CellOutcome {
-    /// The failure behind a quarantined or timed-out cell, if any.
+    /// The failure behind a quarantined cell, if any.
     pub fn error(&self) -> Option<&CellError> {
         match self {
             CellOutcome::Completed | CellOutcome::Cached => None,
-            CellOutcome::Quarantined(e) | CellOutcome::TimedOut(e) => Some(e),
+            CellOutcome::Quarantined(e) => Some(e),
         }
     }
 
@@ -674,7 +584,7 @@ impl GridResult {
         checkpoint::grid_digest(self.rows.iter().flatten())
     }
 
-    /// The quarantined and timed-out cells, in row-major order.
+    /// The quarantined cells, in row-major order.
     pub fn failures(&self) -> impl Iterator<Item = &CellError> {
         self.outcomes.iter().filter_map(CellOutcome::error)
     }

@@ -43,22 +43,24 @@ impl JobSpec {
         self.platforms.len() * self.workloads.len()
     }
 
-    /// The grid's cells in row-major order — cell `i` is platform
-    /// `i % platforms.len()` of workload `i / platforms.len()`, the
-    /// exact order `GridRun` rows flatten to, which is what makes the
-    /// job digest comparable to a serial grid run's.
-    pub fn cells(&self) -> Vec<CellSpec> {
+    /// Cell `i` in row-major order: platform `i % platforms.len()` of
+    /// workload `i / platforms.len()`, the exact order `GridRun` rows
+    /// flatten to, which is what makes the job digest comparable to a
+    /// serial grid run's.
+    pub fn cell(&self, i: usize) -> CellSpec {
         let cols = self.platforms.len();
-        (0..self.total())
-            .map(|i| {
-                CellSpec::new(
-                    self.config.clone(),
-                    self.platforms[i % cols],
-                    self.mode,
-                    self.workloads[i / cols],
-                )
-            })
-            .collect()
+        CellSpec::new(
+            self.config.clone(),
+            self.platforms[i % cols],
+            self.mode,
+            self.workloads[i / cols],
+        )
+    }
+
+    /// The grid's cells in row-major order — [`JobSpec::cell`] for
+    /// every index.
+    pub fn cells(&self) -> Vec<CellSpec> {
+        (0..self.total()).map(|i| self.cell(i)).collect()
     }
 }
 
@@ -288,7 +290,7 @@ impl Job {
         resolution: CellResolution,
         report: Option<&SimReport>,
     ) -> bool {
-        let cell = &self.spec.cells()[index];
+        let cell = self.spec.cell(index);
         let mut line = format!(
             "{{\"cell\":{index},\"key\":\"{:016x}\",\"platform\":\"{}\",\"workload\":\"{}\",\"outcome\":\"{}\"",
             self.keys[index],
@@ -414,6 +416,7 @@ mod tests {
                 &spec.workloads[1]
             )
         );
+        assert_eq!(spec.cell(3).key(), cells[3].key());
     }
 
     #[test]

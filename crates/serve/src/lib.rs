@@ -1,7 +1,7 @@
 //! `ohm-serve`: the Ohm-GPU simulation-as-a-service daemon.
 //!
 //! A long-lived process that accepts sweep jobs over HTTP/JSON,
-//! schedules their cells onto a resident work-stealing worker pool, and
+//! schedules their cells onto a resident worker pool, and
 //! streams per-cell results back as NDJSON the moment each cell lands.
 //! The centerpiece is a **shared content-addressed result cache**
 //! ([`ResultCache`], the same store `GridRun::checkpoint` runs

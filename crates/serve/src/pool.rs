@@ -1,12 +1,11 @@
-//! The daemon's work-stealing worker pool.
+//! The daemon's resident worker pool.
 //!
 //! Unlike the scoped fan-out in `ohm_core::par` — which owns a fixed
 //! index range and joins at the end of one grid — the daemon needs a
 //! *resident* pool that accepts work forever, interleaves cells from
 //! concurrent jobs, and lets a re-enqueued (un-parked) task run on any
-//! worker. Each worker owns a deque; submissions round-robin across
-//! them and an idle worker steals from the longest other deque, so one
-//! giant job cannot starve a small one submitted behind it.
+//! worker. Every worker takes the oldest task from one shared FIFO
+//! queue.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,10 +17,8 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Queue state shared by submitters and workers.
 struct PoolState {
-    /// One deque per worker (owner pops the front, thieves the back).
-    queues: Vec<VecDeque<Task>>,
-    /// Round-robin submission cursor.
-    next: usize,
+    /// Submitted tasks not yet started, oldest first.
+    queue: VecDeque<Task>,
     /// When set, workers drain nothing further and exit.
     shutdown: bool,
 }
@@ -35,10 +32,10 @@ struct Shared {
     busy: AtomicUsize,
 }
 
-/// A resident pool of worker threads with per-worker deques and work
-/// stealing. Dropping the pool shuts it down: queued-but-unstarted
-/// tasks are discarded (exactly the semantics of killing a server),
-/// running tasks finish, and the threads are joined.
+/// A resident pool of worker threads over one FIFO task queue.
+/// Dropping the pool shuts it down: queued-but-unstarted tasks are
+/// discarded (exactly the semantics of killing a server), running
+/// tasks finish, and the threads are joined.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     count: usize,
@@ -52,8 +49,7 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                next: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -64,7 +60,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ohm-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -85,17 +81,15 @@ impl WorkerPool {
         self.shared.busy.load(Ordering::Relaxed)
     }
 
-    /// Enqueues `task` on the next deque round-robin and wakes a
-    /// worker. Tasks submitted after shutdown are silently dropped
-    /// (the accept loop may race a stopping server).
+    /// Appends `task` to the queue and wakes the idle workers. Tasks
+    /// submitted after shutdown are silently dropped (the accept loop
+    /// may race a stopping server).
     pub fn submit(&self, task: Task) {
         let mut state = self.shared.state.lock().expect("pool lock");
         if state.shutdown {
             return;
         }
-        let slot = state.next % self.count;
-        state.next = state.next.wrapping_add(1);
-        state.queues[slot].push_back(task);
+        state.queue.push_back(task);
         drop(state);
         self.shared.available.notify_all();
     }
@@ -106,9 +100,7 @@ impl WorkerPool {
         {
             let mut state = self.shared.state.lock().expect("pool lock");
             state.shutdown = true;
-            for q in &mut state.queues {
-                q.clear();
-            }
+            state.queue.clear();
         }
         self.shared.available.notify_all();
         let handles: Vec<_> = self.workers.lock().expect("pool lock").drain(..).collect();
@@ -124,9 +116,9 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One worker: pop own deque first, steal from the longest other deque
-/// otherwise, sleep when everything is empty.
-fn worker_loop(shared: &Shared, me: usize) {
+/// One worker: run the oldest queued task, sleep while the queue is
+/// empty, exit on shutdown.
+fn worker_loop(shared: &Shared) {
     loop {
         let task = {
             let mut state = shared.state.lock().expect("pool lock");
@@ -134,7 +126,7 @@ fn worker_loop(shared: &Shared, me: usize) {
                 if state.shutdown {
                     return;
                 }
-                if let Some(task) = take_task(&mut state, me) {
+                if let Some(task) = state.queue.pop_front() {
                     break task;
                 }
                 state = shared.available.wait(state).expect("pool lock");
@@ -144,18 +136,6 @@ fn worker_loop(shared: &Shared, me: usize) {
         task();
         shared.busy.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// Pops worker `me`'s next task: its own front, else the back of the
-/// longest other deque (steal).
-fn take_task(state: &mut PoolState, me: usize) -> Option<Task> {
-    if let Some(task) = state.queues[me].pop_front() {
-        return Some(task);
-    }
-    let victim = (0..state.queues.len())
-        .filter(|&w| w != me)
-        .max_by_key(|&w| state.queues[w].len())?;
-    state.queues[victim].pop_back()
 }
 
 #[cfg(test)]
@@ -185,10 +165,23 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_an_unbalanced_queue() {
-        // One worker pool cannot steal; two workers with all tasks
-        // round-robined still finish even if one worker is pinned by a
-        // long task — the other steals the backlog.
+    fn one_worker_runs_tasks_in_submission_order() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..20 {
+            let tx = tx.clone();
+            pool.submit(Box::new(move || tx.send(i).unwrap()));
+        }
+        let order: Vec<i32> = (0..20)
+            .map(|_| rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap())
+            .collect();
+        assert_eq!(order, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pinned_worker_does_not_strand_queued_tasks() {
+        // Two workers, one pinned by a long task: every task queued
+        // behind it still runs, on the other worker.
         let pool = WorkerPool::new(2);
         let (tx, rx) = mpsc::channel();
         let (block_tx, block_rx) = mpsc::channel::<()>();

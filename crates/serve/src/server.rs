@@ -285,7 +285,7 @@ fn run_cell(shared: &Arc<Shared>, job: &Arc<Job>, index: usize) {
         }
         Claim::Parked => {}
         Claim::Owner => {
-            let cell = job.spec.cells().swap_remove(index);
+            let cell = job.spec.cell(index);
             let cell_threads = shared.cell_threads;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 cell.run().cell_threads(cell_threads).execute()
