@@ -86,10 +86,12 @@ pub const JOURNAL_HEADER: &str = "ohm-journal v1";
 pub enum JournalError {
     /// The underlying file could not be read or written.
     Io(std::io::Error),
-    /// The file exists but does not start with [`JOURNAL_HEADER`] —
-    /// either not a journal at all, or one written by an incompatible
-    /// format version. Never truncated: refusing to touch it beats
-    /// destroying a file the caller mis-pointed at.
+    /// The file exists but does not start with [`JOURNAL_HEADER`]'s line
+    /// and is not a strict prefix of it (the torn header a kill
+    /// mid-create leaves, which reopens as a fresh journal) — either not
+    /// a journal at all, or one written by an incompatible format
+    /// version. Never truncated: refusing to touch it beats destroying a
+    /// file the caller mis-pointed at.
     BadHeader {
         /// What the first line actually was.
         found: String,
@@ -222,11 +224,13 @@ impl Journal {
             Err(e) => return Err(e.into()),
         };
 
+        // A kill while the header line was being written leaves a prefix
+        // of the header without its newline (or nothing): no record was
+        // ever appended, so the journal starts fresh.
+        let fresh = JOURNAL_HEADER.as_bytes().starts_with(&bytes);
         let mut entries = HashMap::new();
         let mut verified_len = 0u64;
-        let mut fresh = true;
-        if !bytes.is_empty() {
-            fresh = false;
+        if !fresh {
             let header_end = match bytes.iter().position(|&b| b == b'\n') {
                 Some(i) if &bytes[..i] == JOURNAL_HEADER.as_bytes() => i + 1,
                 _ => {
@@ -273,10 +277,11 @@ impl Journal {
             .truncate(false)
             .open(&path)?;
         let truncated_bytes = if fresh {
-            file.write_all(JOURNAL_HEADER.as_bytes())?;
-            file.write_all(b"\n")?;
+            // One write from offset 0, which also overwrites a torn
+            // header prefix, so a kill here can only tear it again.
+            file.write_all(format!("{JOURNAL_HEADER}\n").as_bytes())?;
             file.flush()?;
-            0
+            bytes.len() as u64
         } else {
             let torn = bytes.len() as u64 - verified_len;
             if torn > 0 {
@@ -311,7 +316,8 @@ impl Journal {
     }
 
     /// Bytes of torn/corrupt tail discarded when the journal was
-    /// opened (0 for a clean or fresh journal).
+    /// opened, a torn header line included (0 for a clean journal or a
+    /// new file).
     pub fn truncated_bytes(&self) -> u64 {
         self.truncated_bytes
     }
@@ -1529,6 +1535,29 @@ mod tests {
             std::fs::read_to_string(&path).unwrap(),
             "important data, definitely not a journal\n"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_header_is_a_fresh_journal() {
+        let path = tmp_path("torn-header");
+        // A kill before the header's newline (or mid-header) left no
+        // record behind, so the file reopens as a fresh journal.
+        for torn in [&JOURNAL_HEADER[..4], JOURNAL_HEADER] {
+            std::fs::write(&path, torn).unwrap();
+            let mut j = Journal::open(&path).unwrap();
+            assert!(j.is_empty());
+            assert_eq!(j.truncated_bytes(), torn.len() as u64);
+            j.append(1, &bare_report()).unwrap();
+            drop(j);
+            let j = Journal::open(&path).unwrap();
+            assert_eq!(j.len(), 1, "{torn:?}: appends after recovery survive");
+            assert_eq!(j.truncated_bytes(), 0);
+        }
+        // A complete header line of another version is still foreign.
+        std::fs::write(&path, "ohm-journal v2\n").unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert!(matches!(err, JournalError::BadHeader { .. }), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -228,7 +228,7 @@ struct OracleBackend;
 
 /// Services one oracle request: a local DRAM hit, no policy at all.
 fn oracle_service(env: &mut MemEnv<'_>, now: Ps, mc: usize, la: Addr, kind: MemKind) -> Ps {
-    env.stats.record_service(mc, true);
+    env.stats.record_service(true);
     env.dram_line_rt(now, mc, la, kind)
 }
 
@@ -279,36 +279,20 @@ fn planar_service(
             // rather than stalling (the remap commits at swap end).
             if let Some(r) = env.mc(mc).conflicts.redirect_dram(pa) {
                 let paired = r.paired;
-                env.stats.record_service(mc, false);
-                let done = env.xpoint_line_rt(now, mc, paired, kind);
-                if kind.is_read() {
-                    env.stats.record_xpoint_read_latency(done - now);
-                }
-                return done;
+                env.stats.record_service(false);
+                return env.xpoint_line_rt(now, mc, paired, kind);
             }
-            env.stats.record_service(mc, true);
-            let done = env.dram_line_rt(now, mc, pa, kind);
-            if kind.is_read() {
-                env.stats.record_dram_read_latency(done - now);
-            }
-            done
+            env.stats.record_service(true);
+            env.dram_line_rt(now, mc, pa, kind)
         }
         PlanarLocation::XPoint(pa) => {
             if let Some(r) = env.mc(mc).conflicts.redirect_xpoint(pa) {
                 let paired = r.paired;
-                env.stats.record_service(mc, true);
-                let done = env.dram_line_rt(now, mc, paired, kind);
-                if kind.is_read() {
-                    env.stats.record_dram_read_latency(done - now);
-                }
-                return done;
+                env.stats.record_service(true);
+                return env.dram_line_rt(now, mc, paired, kind);
             }
-            env.stats.record_service(mc, false);
-            let done = env.xpoint_line_rt(now, mc, pa, kind);
-            if kind.is_read() {
-                env.stats.record_xpoint_read_latency(done - now);
-            }
-            done
+            env.stats.record_service(false);
+            env.xpoint_line_rt(now, mc, pa, kind)
         }
     }
 }
@@ -324,7 +308,7 @@ fn planar_swap(
 ) {
     let page_bits = req.page_bytes * 8;
     let lines = req.page_bytes / env.cfg.line_bytes;
-    env.stats.record_migration(mc);
+    env.stats.record_migration();
 
     if caps.swap {
         // SWAP-CMD metadata on the data route; the copy itself rides
@@ -372,7 +356,6 @@ fn planar_swap(
             let xp = env.mc(mc).xpoint.as_mut().expect("planar");
             xp.write_page(to_xp, req.xpoint_addr, lines).ready_at
         };
-        env.stats.record_swap_window(dram_written - now);
         env.stage(Stage::Migration, mc, now, dram_written);
         env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
     } else if caps.auto_rw {
@@ -412,7 +395,6 @@ fn planar_swap(
         // The MC is not held for the copy: it keeps issuing demand
         // requests to devices that are not busy (Figure 7a, step 1);
         // the migration's cost is the channel and device occupancy.
-        env.stats.record_swap_window(dram_written - now);
         env.stage(Stage::Migration, mc, now, dram_written);
         env.register_swap_pages(
             mc,
@@ -450,7 +432,6 @@ fn planar_swap(
             let xp = env.mc(mc).xpoint.as_mut().expect("planar");
             xp.write_page(down2, req.xpoint_addr, lines).ready_at
         };
-        env.stats.record_swap_window(dram_written - now);
         env.stage(Stage::Migration, mc, now, dram_written);
         env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
     }
@@ -528,15 +509,12 @@ fn twolevel_service(
     let la = Addr::new(la.get() % span);
     match cache.access(la, is_write) {
         TwoLevelOutcome::Hit { dram_addr } => {
-            env.stats.record_service(mc, true);
+            env.stats.record_service(true);
             let stall = env
                 .mc(mc)
                 .conflicts
                 .stall_until(dram_addr)
                 .unwrap_or(Ps::ZERO);
-            if stall > now {
-                env.stats.record_conflict_stall(stall - now);
-            }
             env.dram_line_rt(now.max(stall), mc, dram_addr, kind)
         }
         TwoLevelOutcome::Miss {
@@ -544,8 +522,8 @@ fn twolevel_service(
             xpoint_addr,
             evict_to,
         } => {
-            env.stats.record_service(mc, false);
-            env.stats.record_migration(mc);
+            env.stats.record_service(false);
+            env.stats.record_migration();
             // 1. Tag-check read: the MC always reads the DRAM line (tag
             //    travels with data in the ECC bits).
             let tag_read = env.dram_line_rt(now, mc, dram_addr, MemKind::Read);
@@ -613,7 +591,7 @@ fn twolevel_service(
             // straight from the best-effort XPoint path, never filled
             // into DRAM — a fill would strand the only durable copy
             // on dead media at eviction time.
-            env.stats.record_service(mc, false);
+            env.stats.record_service(false);
             env.xpoint_line_rt(now, mc, xpoint_addr, kind)
         }
     }

@@ -36,9 +36,8 @@
 //!   synchronises on the producing access's L2-completion time through
 //!   an atomic slot, preserving both orders.
 //! - Statistics are not recorded by the workers: each op logs its stat
-//!   calls and phase C replays them in pop order, so order-sensitive
-//!   accumulators (running means, time series) see the exact serial
-//!   sequence of `f64` operations.
+//!   calls and phase C replays them in pop order, so the mean-latency
+//!   accumulator sees the exact serial sequence of `f64` additions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -65,21 +64,14 @@ pub(crate) fn balanced_counts(total: usize, parts: usize) -> Vec<usize> {
 }
 
 /// One recorded stats-sink call, replayed in pop order by phase C so the
-/// collector sees the exact serial sequence (its running means and time
-/// series are order-sensitive in floating point).
+/// collector sees the exact serial sequence (its mean latency is
+/// order-sensitive in floating point).
 #[derive(Debug, Clone, Copy)]
 enum StatCall {
-    MemRequest(Ps, u64),
+    MemRequest,
     MemLatency(Ps),
-    SliceLatency(Ps),
-    MshrStall(usize),
-    Migration(usize),
-    Service(usize, bool),
-    DramReadLat(Ps),
-    XpReadLat(Ps),
-    ConflictStall(Ps),
-    XpStages(Ps, Ps, Ps),
-    SwapWindow(Ps),
+    Migration,
+    Service(bool),
 }
 
 /// A recording [`StatsSink`] handed to the request path on a worker.
@@ -89,38 +81,17 @@ enum StatCall {
 struct StatLog(Vec<StatCall>);
 
 impl StatsSink for StatLog {
-    fn record_mem_request(&mut self, now: Ps, bytes: u64) {
-        self.0.push(StatCall::MemRequest(now, bytes));
+    fn record_mem_request(&mut self) {
+        self.0.push(StatCall::MemRequest);
     }
     fn record_mem_latency(&mut self, latency: Ps) {
         self.0.push(StatCall::MemLatency(latency));
     }
-    fn record_slice_latency(&mut self, latency: Ps) {
-        self.0.push(StatCall::SliceLatency(latency));
+    fn record_migration(&mut self) {
+        self.0.push(StatCall::Migration);
     }
-    fn record_mshr_stall(&mut self, mc: usize) {
-        self.0.push(StatCall::MshrStall(mc));
-    }
-    fn record_migration(&mut self, mc: usize) {
-        self.0.push(StatCall::Migration(mc));
-    }
-    fn record_service(&mut self, mc: usize, dram: bool) {
-        self.0.push(StatCall::Service(mc, dram));
-    }
-    fn record_dram_read_latency(&mut self, latency: Ps) {
-        self.0.push(StatCall::DramReadLat(latency));
-    }
-    fn record_xpoint_read_latency(&mut self, latency: Ps) {
-        self.0.push(StatCall::XpReadLat(latency));
-    }
-    fn record_conflict_stall(&mut self, stall: Ps) {
-        self.0.push(StatCall::ConflictStall(stall));
-    }
-    fn record_xpoint_stages(&mut self, cmd: Ps, dev: Ps, resp: Ps) {
-        self.0.push(StatCall::XpStages(cmd, dev, resp));
-    }
-    fn record_swap_window(&mut self, window: Ps) {
-        self.0.push(StatCall::SwapWindow(window));
+    fn record_service(&mut self, dram: bool) {
+        self.0.push(StatCall::Service(dram));
     }
 }
 
@@ -128,17 +99,10 @@ impl StatsSink for StatLog {
 fn replay(calls: &[StatCall], stats: &mut RunStats) {
     for &c in calls {
         match c {
-            StatCall::MemRequest(now, bytes) => stats.record_mem_request(now, bytes),
+            StatCall::MemRequest => stats.record_mem_request(),
             StatCall::MemLatency(l) => stats.record_mem_latency(l),
-            StatCall::SliceLatency(l) => stats.record_slice_latency(l),
-            StatCall::MshrStall(mc) => stats.record_mshr_stall(mc),
-            StatCall::Migration(mc) => stats.record_migration(mc),
-            StatCall::Service(mc, dram) => stats.record_service(mc, dram),
-            StatCall::DramReadLat(l) => stats.record_dram_read_latency(l),
-            StatCall::XpReadLat(l) => stats.record_xpoint_read_latency(l),
-            StatCall::ConflictStall(s) => stats.record_conflict_stall(s),
-            StatCall::XpStages(c0, d, r) => stats.record_xpoint_stages(c0, d, r),
-            StatCall::SwapWindow(w) => stats.record_swap_window(w),
+            StatCall::Migration => stats.record_migration(),
+            StatCall::Service(dram) => stats.record_service(dram),
         }
     }
 }
@@ -207,24 +171,17 @@ fn push_op(cell: &mut ShardCell<'_>, op: Op) -> u32 {
     j as u32
 }
 
-/// One pop's phase-C obligations, in pop order.
-enum EntryRec {
-    /// An L1-hit load: only its slice latency is deferred (the resume
-    /// was pushed immediately).
-    L1Hit { slice: Ps },
-    /// A staged memory access: replay the victim's and the main op's
-    /// stat logs, push migration notices and the warp resume under the
-    /// entry's deferred-slot keys.
-    Mem {
-        entry: EntryId,
-        t_pop: Ps,
-        warp: WarpId,
-        main: (u32, u32),
-        victim: Option<(u32, u32)>,
-        /// Stores acknowledge immediately; the resume was already pushed
-        /// in phase A and only the slice latency remains.
-        store: bool,
-    },
+/// One staged memory access's phase-C obligations, in pop order:
+/// replay the victim's and the main op's stat logs, then push migration
+/// notices and the warp resume under the entry's deferred-slot keys.
+struct EntryRec {
+    entry: EntryId,
+    warp: WarpId,
+    main: (u32, u32),
+    victim: Option<(u32, u32)>,
+    /// Stores acknowledge immediately; the resume was already pushed in
+    /// phase A.
+    store: bool,
 }
 
 /// Spins until `slot` publishes a time (stored as `ps + 1`; 0 = empty).
@@ -452,9 +409,7 @@ pub(crate) fn run_sharded(
                                 let line_addr = addr.align_down(line_bytes);
                                 let load = kind.is_load();
                                 if load && l1s[w.sm].access(line_addr, false).hit {
-                                    let done = after_compute + l1_lat;
-                                    records.push(EntryRec::L1Hit { slice: done - t });
-                                    engine.resume(done, w);
+                                    engine.resume(after_compute + l1_lat, w);
                                     continue;
                                 }
                                 let entry = engine.queue.current_entry();
@@ -504,9 +459,8 @@ pub(crate) fn run_sharded(
                                         publish,
                                     },
                                 );
-                                records.push(EntryRec::Mem {
+                                records.push(EntryRec {
                                     entry,
-                                    t_pop: t,
                                     warp: w,
                                     main: (ms, j),
                                     victim: victim_ref,
@@ -547,57 +501,37 @@ pub(crate) fn run_sharded(
             // ---- Phase C: commit stats and deferred pushes in pop order.
             {
                 let guards: Vec<_> = cells.iter().map(|c| c.lock().unwrap()).collect();
-                for rec in &records {
-                    match rec {
-                        EntryRec::L1Hit { slice } => stats.record_slice_latency(*slice),
-                        EntryRec::Mem {
+                for &EntryRec {
+                    entry,
+                    warp,
+                    main,
+                    victim,
+                    store,
+                } in &records
+                {
+                    let vo = victim.map(|(s, j)| &guards[s as usize].outs[j as usize]);
+                    if let Some(vo) = vo {
+                        replay(&vo.log.0, stats);
+                    }
+                    let mo = &guards[main.0 as usize].outs[main.1 as usize];
+                    replay(&mo.log.0, stats);
+                    // Victim releases first, then the main op's: the
+                    // serial loop's queue-insertion order.
+                    let pendings = vo.into_iter().flat_map(|vo| &vo.pendings);
+                    for (slot, &(at, mc, id)) in pendings.chain(&mo.pendings).enumerate() {
+                        debug_assert!(at >= engine.queue.now());
+                        engine.queue.push_deferred(
                             entry,
-                            t_pop,
-                            warp,
-                            main,
-                            victim,
-                            store,
-                        } => {
-                            let mut slot = 0u32;
-                            if let Some((s, j)) = victim {
-                                let vo = &guards[*s as usize].outs[*j as usize];
-                                replay(&vo.log.0, stats);
-                            }
-                            let mo = &guards[main.0 as usize].outs[main.1 as usize];
-                            replay(&mo.log.0, stats);
-                            if let Some((s, j)) = victim {
-                                let vo = &guards[*s as usize].outs[*j as usize];
-                                for &(at, mc, id) in &vo.pendings {
-                                    debug_assert!(at >= engine.queue.now());
-                                    engine.queue.push_deferred(
-                                        *entry,
-                                        slot,
-                                        at,
-                                        Event::MigrationDone { mc, id },
-                                    );
-                                    slot += 1;
-                                }
-                            }
-                            for &(at, mc, id) in &mo.pendings {
-                                debug_assert!(at >= engine.queue.now());
-                                engine.queue.push_deferred(
-                                    *entry,
-                                    slot,
-                                    at,
-                                    Event::MigrationDone { mc, id },
-                                );
-                                slot += 1;
-                            }
-                            stats.record_slice_latency(mo.resume_at - *t_pop);
-                            if !*store {
-                                debug_assert!(mo.resume_at >= engine.queue.now());
-                                engine.queue.push_deferred_final(
-                                    *entry,
-                                    mo.resume_at,
-                                    Event::Resume(*warp),
-                                );
-                            }
-                        }
+                            slot as u32,
+                            at,
+                            Event::MigrationDone { mc, id },
+                        );
+                    }
+                    if !store {
+                        debug_assert!(mo.resume_at >= engine.queue.now());
+                        engine
+                            .queue
+                            .push_deferred_final(entry, mo.resume_at, Event::Resume(warp));
                     }
                 }
             }

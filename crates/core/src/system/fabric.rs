@@ -12,6 +12,7 @@
 //! re-arbitration onto healthy wavelengths, and degradation onto an
 //! electrical fallback path when no healthy wavelength remains.
 
+use ohm_hetero::migration::ChannelTech;
 use ohm_hetero::{MigrationCaps, Platform};
 use ohm_optic::mrr::FINE_TUNE;
 use ohm_optic::{
@@ -574,8 +575,9 @@ impl Fabric for ResilientFabric {
     }
 }
 
-/// Builds the fabric a platform runs on: electrical for `Origin`/`Hetero`,
-/// optical (with the platform's dual-route capability) for the rest.
+/// Builds the fabric a platform runs on, from its
+/// [`channel_tech`](Platform::channel_tech): an electrical channel, or an
+/// optical one with the platform's dual-route capability.
 ///
 /// WOM coding exists to share a light between the memory controller and
 /// the swap function (Section V-B) — planar mode only. The two-level
@@ -597,9 +599,9 @@ pub(crate) fn build_fabric(
         DualRouteMode::Serialized
     };
 
-    match platform {
-        Platform::Origin | Platform::Hetero => Box::new(ElectricalChannel::new(cfg.electrical)),
-        _ => {
+    match platform.channel_tech() {
+        ChannelTech::Electrical => Box::new(ElectricalChannel::new(cfg.electrical)),
+        ChannelTech::Optical => {
             let optical = OpticalChannel::new(OpticalChannelConfig {
                 dual_route,
                 ..cfg.optical

@@ -158,15 +158,9 @@ impl MemEnv<'_> {
                 if c.retries > 0 {
                     self.stage(Stage::MediaRetry, mc, c.accepted_at, c.media_done);
                 }
-                let ready = c.ready_at;
                 let (_, data_done) =
                     self.fabric
-                        .xfer(ready, mc, line_bits, TrafficClass::Demand, DEV_XPOINT);
-                self.stats.record_xpoint_stages(
-                    cmd_done - now,
-                    ready - cmd_done,
-                    data_done - ready,
-                );
+                        .xfer(c.ready_at, mc, line_bits, TrafficClass::Demand, DEV_XPOINT);
                 data_done
             }
             MemKind::Write => {
@@ -287,7 +281,7 @@ pub(crate) fn parts_read(
         }
         p.in_flight[mi].remove(&line);
     }
-    stats.record_mem_request(now, cfg.line_bytes);
+    stats.record_mem_request();
     // MSHR file: a full set of outstanding misses delays this one
     // until the earliest in-flight miss completes.
     let now = {
@@ -300,7 +294,6 @@ pub(crate) fn parts_read(
             m.outstanding.pop();
         }
         if m.outstanding.len() >= cfg.memory.mshr_per_mc {
-            stats.record_mshr_stall(mc);
             match m.outstanding.pop() {
                 Some(Reverse(t)) => now.max(Ps::from_ps(t)),
                 None => now,

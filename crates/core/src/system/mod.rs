@@ -42,7 +42,7 @@ pub use stats::{RunStats, Stage, StatsSink};
 
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
-use ohm_sim::{Addr, Ps, TimeSeries};
+use ohm_sim::{Addr, Ps};
 use ohm_sm::{AccessKind, Cache, InstructionStream, Interconnect, WarpId};
 use ohm_workloads::{KernelWorkload, PhasedWorkload, WorkloadSpec};
 
@@ -188,7 +188,7 @@ impl System {
         }
         let mem = MemorySubsystem::build(cfg, platform, mode, spec);
         let engine = WarpEngine::new(cfg.gpu.sms, cfg.gpu.sm, stream);
-        let mut stats = RunStats::new(cfg.memory.controllers, Ps::from_us(10));
+        let mut stats = RunStats::default();
         if let Some(track) = engine.phase_track.as_ref() {
             stats.enable_phases(track.names.clone());
         }
@@ -400,12 +400,6 @@ impl System {
             now + one_cycle
         }
     }
-
-    /// Demand bytes arriving at the memory controllers over time
-    /// (10 µs buckets) — a bandwidth timeline for plotting.
-    pub fn demand_timeline(&self) -> &TimeSeries {
-        self.stats.demand_timeline()
-    }
 }
 
 #[cfg(test)]
@@ -516,22 +510,6 @@ mod tests {
             oracle.ipc,
             bw.ipc
         );
-    }
-
-    #[test]
-    fn demand_timeline_accounts_read_traffic() {
-        let cfg = SystemConfig::quick_test();
-        let spec = ohm_workloads::workload_by_name("bfsdata").unwrap();
-        let mut sys = System::new(&cfg, Platform::Oracle, OperationalMode::Planar, &spec);
-        let r = sys.run();
-        let timeline = sys.demand_timeline();
-        assert!(timeline.total() > 0.0);
-        assert_eq!(
-            timeline.total() as u64,
-            r.mem_requests * cfg.line_bytes,
-            "timeline must sum to the demand reads"
-        );
-        assert!(timeline.peak() >= timeline.mean());
     }
 
     #[test]

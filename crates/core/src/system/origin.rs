@@ -181,7 +181,7 @@ impl MemoryBackend for OriginBackend {
             }
             ready = self.host.stage_in(now, self.seg_bytes).transfer_done;
         }
-        env.stats.record_service(mc, !fault);
+        env.stats.record_service(!fault);
         env.dram_line_rt(ready, mc, la, kind)
     }
 

@@ -1,5 +1,4 @@
-//! Report generation: folding the layers' counters into a [`SimReport`]
-//! and the debugging resource summary.
+//! Report generation: folding the layers' counters into a [`SimReport`].
 
 use ohm_sim::Ps;
 
@@ -10,72 +9,6 @@ use super::stats::Stage;
 use super::System;
 
 impl System {
-    /// One-line-per-resource busy summary for debugging and examples.
-    pub fn resource_summary(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let horizon = self.engine.queue.now();
-        let _ = writeln!(out, "makespan: {horizon}");
-        let issue_busy: Ps = self.engine.sms.iter().map(|s| s.busy_time()).sum();
-        let _ = writeln!(
-            out,
-            "sm issue: busy {} over {} SMs ({:.1}% of makespan each)",
-            issue_busy,
-            self.engine.sms.len(),
-            100.0 * issue_busy.as_ps() as f64
-                / (self.engine.sms.len() as f64 * horizon.as_ps().max(1) as f64),
-        );
-        let _ = writeln!(
-            out,
-            "xbar: {} messages, busy {} ({:.1}% per port)",
-            self.xbar.messages(),
-            self.xbar.busy_time(),
-            100.0 * self.xbar.busy_time().as_ps() as f64
-                / (self.cfg.gpu.xbar.ports as f64 * horizon.as_ps().max(1) as f64),
-        );
-        for (i, mc) in self.mem.mcs.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "mc{i}: ctrl busy {} ({:.1}%), ctrl free@{}, dram busy {} ({} banks), xp reads {} writes {} stalls {}, conflicts {}/{}",
-                mc.ctrl.busy_time(),
-                100.0 * mc.ctrl.busy_time().as_ps() as f64 / horizon.as_ps().max(1) as f64,
-                mc.ctrl.next_free(),
-                mc.dram.busy_time(),
-                self.cfg.memory.dram_banks,
-                mc.xpoint.as_ref().map_or(0, |x| x.media().reads()),
-                mc.xpoint.as_ref().map_or(0, |x| x.media().writes()),
-                mc.xpoint.as_ref().map_or(0, |x| x.media().write_stalls()),
-                mc.conflicts.stalls(),
-                mc.conflicts.checks(),
-            );
-        }
-        let _ = writeln!(out, "slice latency: {} (ns)", self.stats.slice_latency);
-        let _ = writeln!(
-            out,
-            "dram read latency: {} (ns)",
-            self.stats.dram_read_latency
-        );
-        let _ = writeln!(
-            out,
-            "xpoint read latency: {} (ns)",
-            self.stats.xpoint_read_latency
-        );
-        let _ = writeln!(out, "conflict stall: {} (ns)", self.stats.stall_latency);
-        let _ = writeln!(
-            out,
-            "xp stages cmd: {} dev: {} resp: {}",
-            self.stats.xp_cmd_stage, self.stats.xp_dev_stage, self.stats.xp_resp_stage
-        );
-        let _ = writeln!(out, "swap window: {} (ns)", self.stats.swap_window);
-        let (d, m) = self.mem.fabric.bits();
-        let _ = writeln!(
-            out,
-            "channel: demand {d} bits, migration {m} bits, util {:.3}",
-            self.mem.fabric.utilization(horizon)
-        );
-        out
-    }
-
     pub(crate) fn report(&mut self) -> SimReport {
         // Migration-completion bookkeeping may trail the last warp; the
         // kernel's makespan is when the warps finished.
@@ -253,7 +186,6 @@ impl System {
         });
 
         let host = self.mem.host_report();
-        let (dram_service, service_total) = self.stats.service_totals();
         let wear = {
             let stats: Vec<f64> = self
                 .mem
@@ -283,13 +215,13 @@ impl System {
                 l1_hits as f64 / l1_total as f64
             },
             l2_hit_rate: self.l2.hit_rate(),
-            hetero_dram_hit_rate: if service_total == 0 {
+            hetero_dram_hit_rate: if self.stats.service_total == 0 {
                 1.0
             } else {
-                dram_service as f64 / service_total as f64
+                self.stats.dram_service_hits as f64 / self.stats.service_total as f64
             },
             migration_channel_fraction: self.mem.fabric.migration_fraction(),
-            migrations: self.stats.total_migrations(),
+            migrations: self.stats.migrations,
             channel_utilization: self.mem.fabric.utilization(makespan),
             channel_bits: (demand_bits, migration_bits),
             energy,

@@ -4,10 +4,10 @@
 //! controllers, backends, fabric round-trips) reports through the
 //! [`StatsSink`] trait instead of poking ad-hoc fields on the monolith.
 //! [`RunStats`] is the concrete collector a [`System`](super::System)
-//! owns; reports and resource summaries read it back out.
+//! owns; the report reads it back out.
 
 use ohm_optic::BusyInterval;
-use ohm_sim::{Histogram, Ps, RunningStats, TimeSeries};
+use ohm_sim::{Histogram, Ps, RunningStats};
 
 use crate::metrics::{ResourceUtil, StageRow, StageSummary};
 
@@ -277,29 +277,15 @@ impl PhaseStats {
 ///
 /// Methods are fire-and-forget; implementations must not affect timing.
 pub trait StatsSink {
-    /// A demand read reached a memory controller (`bytes` of line data).
-    fn record_mem_request(&mut self, now: Ps, bytes: u64);
+    /// A demand read reached a memory controller.
+    fn record_mem_request(&mut self);
     /// End-to-end latency of one demand read (MC arrival to data at MC).
     fn record_mem_latency(&mut self, latency: Ps);
-    /// Latency of one warp slice (issue to resume).
-    fn record_slice_latency(&mut self, latency: Ps);
-    /// A demand read stalled on a full MSHR file at controller `mc`.
-    fn record_mshr_stall(&mut self, mc: usize);
-    /// Controller `mc` started a page/line migration.
-    fn record_migration(&mut self, mc: usize);
-    /// Controller `mc` serviced a request; `dram` says whether the DRAM
+    /// A controller started a page/line migration.
+    fn record_migration(&mut self);
+    /// A controller serviced a request; `dram` says whether the DRAM
     /// side satisfied it (residency/cache hit).
-    fn record_service(&mut self, mc: usize, dram: bool);
-    /// Latency of one DRAM-served demand read.
-    fn record_dram_read_latency(&mut self, latency: Ps);
-    /// Latency of one XPoint-served demand read.
-    fn record_xpoint_read_latency(&mut self, latency: Ps);
-    /// A demand access stalled behind an in-flight migration.
-    fn record_conflict_stall(&mut self, stall: Ps);
-    /// Stage split of one XPoint read round-trip (command, device, response).
-    fn record_xpoint_stages(&mut self, cmd: Ps, dev: Ps, resp: Ps);
-    /// Blocking window of one planar swap (trigger to DRAM-copy done).
-    fn record_swap_window(&mut self, window: Ps);
+    fn record_service(&mut self, dram: bool);
     /// One request-path stage interval on resource `res` (the SM index
     /// for [`Stage::L1Hit`], the controller index otherwise). The default
     /// ignores it, so sinks without an observability collector pay
@@ -313,37 +299,21 @@ pub trait StatsSink {
     }
 }
 
-/// The concrete per-run collector behind [`StatsSink`].
-#[derive(Debug)]
+/// The concrete per-run collector behind [`StatsSink`]: the counters
+/// [`SimReport`](crate::SimReport) reads, plus the opt-in stage and phase
+/// collectors.
+#[derive(Debug, Default)]
 pub struct RunStats {
     /// Mean memory access latency accumulator.
     pub(crate) mem_latency: RunningStats,
-    /// Warp slice latency accumulator.
-    pub(crate) slice_latency: RunningStats,
-    /// Demand bytes entering the memory controllers, over time.
-    pub(crate) demand_timeline: TimeSeries,
-    /// DRAM-served demand read latency.
-    pub(crate) dram_read_latency: RunningStats,
-    /// XPoint-served demand read latency.
-    pub(crate) xpoint_read_latency: RunningStats,
-    /// Conflict (in-flight migration) stall latency.
-    pub(crate) stall_latency: RunningStats,
-    /// XPoint read round-trip stage splits.
-    pub(crate) xp_cmd_stage: RunningStats,
-    pub(crate) xp_dev_stage: RunningStats,
-    pub(crate) xp_resp_stage: RunningStats,
-    /// Planar swap blocking window.
-    pub(crate) swap_window: RunningStats,
     /// Demand memory requests that reached the controllers.
     pub(crate) mem_requests: u64,
-    /// Per-controller MSHR-full stalls.
-    pub(crate) mshr_stalls: Vec<u64>,
-    /// Per-controller migrations started.
-    pub(crate) migrations: Vec<u64>,
-    /// Per-controller DRAM-side service hits.
-    pub(crate) dram_service_hits: Vec<u64>,
-    /// Per-controller serviced requests.
-    pub(crate) service_total: Vec<u64>,
+    /// Migrations started.
+    pub(crate) migrations: u64,
+    /// Services satisfied by the DRAM side.
+    pub(crate) dram_service_hits: u64,
+    /// Serviced requests.
+    pub(crate) service_total: u64,
     /// Per-stage collector; `None` (the default) disables recording.
     pub(crate) obs: Option<Box<Observability>>,
     /// Per-phase tallies; `None` (the default) for unphased runs.
@@ -351,30 +321,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Creates an empty collector for `controllers` memory controllers,
-    /// bucketing the demand timeline at `timeline_bucket`.
-    pub(crate) fn new(controllers: usize, timeline_bucket: Ps) -> Self {
-        RunStats {
-            mem_latency: RunningStats::new(),
-            slice_latency: RunningStats::new(),
-            demand_timeline: TimeSeries::new(timeline_bucket),
-            dram_read_latency: RunningStats::new(),
-            xpoint_read_latency: RunningStats::new(),
-            stall_latency: RunningStats::new(),
-            xp_cmd_stage: RunningStats::new(),
-            xp_dev_stage: RunningStats::new(),
-            xp_resp_stage: RunningStats::new(),
-            swap_window: RunningStats::new(),
-            mem_requests: 0,
-            mshr_stalls: vec![0; controllers],
-            migrations: vec![0; controllers],
-            dram_service_hits: vec![0; controllers],
-            service_total: vec![0; controllers],
-            obs: None,
-            phases: None,
-        }
-    }
-
     /// Switches the per-stage collector on.
     pub(crate) fn enable_observability(&mut self) {
         if self.obs.is_none() {
@@ -396,29 +342,18 @@ impl RunStats {
         }
     }
 
-    /// Total migrations across controllers.
-    pub(crate) fn total_migrations(&self) -> u64 {
-        self.migrations.iter().sum()
-    }
-
-    /// `(dram_service_hits, service_total)` summed over controllers.
-    pub(crate) fn service_totals(&self) -> (u64, u64) {
-        (
-            self.dram_service_hits.iter().sum(),
-            self.service_total.iter().sum(),
-        )
-    }
-
-    /// The demand-bandwidth timeline.
-    pub(crate) fn demand_timeline(&self) -> &TimeSeries {
-        &self.demand_timeline
+    /// Latency of one warp slice (issue to resume); only phase rows
+    /// read it.
+    pub(crate) fn record_slice_latency(&mut self, latency: Ps) {
+        if let Some(ph) = self.phases.as_mut() {
+            ph.slice_latency[ph.cur].push_ps(latency);
+        }
     }
 }
 
 impl StatsSink for RunStats {
-    fn record_mem_request(&mut self, now: Ps, bytes: u64) {
+    fn record_mem_request(&mut self) {
         self.mem_requests += 1;
-        self.demand_timeline.record(now, bytes as f64);
         if let Some(ph) = self.phases.as_mut() {
             ph.mem_requests[ph.cur] += 1;
         }
@@ -431,52 +366,17 @@ impl StatsSink for RunStats {
         }
     }
 
-    fn record_slice_latency(&mut self, latency: Ps) {
-        self.slice_latency.push_ps(latency);
-        if let Some(ph) = self.phases.as_mut() {
-            ph.slice_latency[ph.cur].push_ps(latency);
-        }
+    fn record_migration(&mut self) {
+        self.migrations += 1;
     }
 
-    fn record_mshr_stall(&mut self, mc: usize) {
-        self.mshr_stalls[mc] += 1;
-    }
-
-    fn record_migration(&mut self, mc: usize) {
-        self.migrations[mc] += 1;
-    }
-
-    fn record_service(&mut self, mc: usize, dram: bool) {
-        self.service_total[mc] += 1;
-        if dram {
-            self.dram_service_hits[mc] += 1;
-        }
+    fn record_service(&mut self, dram: bool) {
+        self.service_total += 1;
+        self.dram_service_hits += u64::from(dram);
         if let Some(ph) = self.phases.as_mut() {
             ph.service_total[ph.cur] += 1;
             ph.dram_hits[ph.cur] += u64::from(dram);
         }
-    }
-
-    fn record_dram_read_latency(&mut self, latency: Ps) {
-        self.dram_read_latency.push_ps(latency);
-    }
-
-    fn record_xpoint_read_latency(&mut self, latency: Ps) {
-        self.xpoint_read_latency.push_ps(latency);
-    }
-
-    fn record_conflict_stall(&mut self, stall: Ps) {
-        self.stall_latency.push_ps(stall);
-    }
-
-    fn record_xpoint_stages(&mut self, cmd: Ps, dev: Ps, resp: Ps) {
-        self.xp_cmd_stage.push_ps(cmd);
-        self.xp_dev_stage.push_ps(dev);
-        self.xp_resp_stage.push_ps(resp);
-    }
-
-    fn record_swap_window(&mut self, window: Ps) {
-        self.swap_window.push_ps(window);
     }
 
     fn record_stage(&mut self, stage: Stage, res: usize, start: Ps, end: Ps) {

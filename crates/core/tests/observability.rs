@@ -31,11 +31,21 @@ fn enabling_observability_is_timing_neutral() {
         let baseline = cell(platform, mode, "pagerank", false).run();
         let mut observed = cell(platform, mode, "pagerank", true).run();
         assert!(baseline.stages.is_none());
-        assert!(
-            observed.stages.is_some(),
-            "{platform:?}: observability enabled but no stage summary"
+        let stages = observed
+            .stages
+            .take()
+            .unwrap_or_else(|| panic!("{platform:?}: observability enabled but no stage summary"));
+        // Every migration (planar swap or two-level fill) records exactly
+        // one migration-stage interval.
+        let migration = stages
+            .stages
+            .iter()
+            .find(|s| s.name == "migration")
+            .expect("migration stage row");
+        assert_eq!(
+            migration.count, observed.migrations,
+            "{platform:?}/{mode:?}: migration stage count"
         );
-        observed.stages = None;
         assert_eq!(
             baseline, observed,
             "{platform:?}/{mode:?}: observability changed simulated results"

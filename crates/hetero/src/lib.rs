@@ -28,6 +28,6 @@ pub mod planar;
 pub mod two_level;
 
 pub use conflict::{ConflictDetector, Redirect};
-pub use migration::{MigrationCaps, MigrationKind, Platform};
+pub use migration::{MigrationCaps, Platform};
 pub use planar::{PlanarConfig, PlanarLocation, PlanarMapping, SwapRequest};
 pub use two_level::{TwoLevelCache, TwoLevelConfig, TwoLevelOutcome};

@@ -1,30 +1,10 @@
-//! Migration mechanisms and the platform capability matrix.
+//! The platform capability matrix: channel technology and migration
+//! capabilities.
 //!
 //! The seven evaluated GPU platforms (Section VI, "Heterogeneous memory
 //! platforms") differ in two dimensions: the channel technology and which
 //! migration mechanisms the memory system supports. This module encodes
 //! that matrix; the timing consequences are applied by the system model.
-
-/// The mechanism used to move one page/line between DRAM and XPoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MigrationKind {
-    /// The memory controller reads the source and writes the destination
-    /// over the (shared) channel: two full transfers that block demand
-    /// traffic (`Hetero`, `Ohm-base`).
-    ViaController,
-    /// DRAM→XPoint leg rides the snarf: the XPoint controller hooks the
-    /// MC↔DRAM read off the channel, so no extra transfer is needed
-    /// (`Auto-rw` and later platforms).
-    AutoReadWrite,
-    /// The XPoint controller's DDR sequence generator drives the whole
-    /// copy over the memory route after a single SWAP-CMD (`Ohm-WOM` /
-    /// `Ohm-BW`, planar mode).
-    SwapFunction,
-    /// XPoint→DRAM fill rides the memory route while the data route
-    /// delivers the miss data to the MC (`Ohm-WOM` / `Ohm-BW`, two-level
-    /// mode).
-    ReverseWrite,
-}
 
 /// Channel technology of a platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,32 +122,6 @@ impl Platform {
             Platform::OhmBw => 4.0,
         }
     }
-
-    /// The migration mechanism used for the DRAM→XPoint leg of a planar
-    /// swap (or a two-level dirty eviction).
-    pub fn demote_mechanism(self) -> MigrationKind {
-        let caps = self.migration_caps();
-        if caps.swap {
-            MigrationKind::SwapFunction
-        } else if caps.auto_rw {
-            MigrationKind::AutoReadWrite
-        } else {
-            MigrationKind::ViaController
-        }
-    }
-
-    /// The migration mechanism used for the XPoint→DRAM leg (planar
-    /// promote or two-level fill).
-    pub fn promote_mechanism(self) -> MigrationKind {
-        let caps = self.migration_caps();
-        if caps.swap {
-            MigrationKind::SwapFunction
-        } else if caps.reverse_write {
-            MigrationKind::ReverseWrite
-        } else {
-            MigrationKind::ViaController
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,29 +178,5 @@ mod tests {
         assert_eq!(Platform::OhmWom.laser_power_scale(), 2.0);
         assert_eq!(Platform::OhmBw.laser_power_scale(), 4.0);
         assert_eq!(Platform::Hetero.laser_power_scale(), 0.0);
-    }
-
-    #[test]
-    fn mechanism_selection() {
-        assert_eq!(
-            Platform::OhmBase.demote_mechanism(),
-            MigrationKind::ViaController
-        );
-        assert_eq!(
-            Platform::AutoRw.demote_mechanism(),
-            MigrationKind::AutoReadWrite
-        );
-        assert_eq!(
-            Platform::AutoRw.promote_mechanism(),
-            MigrationKind::ViaController
-        );
-        assert_eq!(
-            Platform::OhmWom.demote_mechanism(),
-            MigrationKind::SwapFunction
-        );
-        assert_eq!(
-            Platform::OhmBw.promote_mechanism(),
-            MigrationKind::SwapFunction
-        );
     }
 }

@@ -127,7 +127,7 @@ impl Server {
         std::fs::create_dir_all(&state_dir)?;
         let cache = ResultCache::open(state_dir.join("cache.ohmj"), opts.fsync)
             .map_err(|e| std::io::Error::other(format!("cache journal: {e}")))?;
-        let (resume, next_seq) = read_jobs_log(&jobs_log_path(&state_dir))?;
+        let (resume, next_seq) = recover_jobs_log(&jobs_log_path(&state_dir))?;
         let log = BufWriter::new(
             std::fs::OpenOptions::new()
                 .create(true)
@@ -229,15 +229,26 @@ fn jobs_log_path(state_dir: &Path) -> PathBuf {
 }
 
 /// Replays a jobs log: returns the unfinished jobs (id, spec body) in
-/// submission order plus the next free id sequence number. Unparsable
-/// lines (a torn tail write) are ignored, like the journal's torn
-/// frames.
-fn read_jobs_log(path: &Path) -> std::io::Result<(Vec<(String, String)>, u64)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+/// submission order plus the next free id sequence number. Only complete
+/// lines count: a torn tail (a kill mid-append) is cut back to the last
+/// `\n`, as the journal does with torn frames, so the next append starts
+/// a fresh line instead of being glued onto the fragment. Unparsable
+/// complete lines are ignored.
+fn recover_jobs_log(path: &Path) -> std::io::Result<(Vec<(String, String)>, u64)> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if complete < bytes.len() {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(complete as u64)?;
+    }
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let mut pending: Vec<(String, String)> = Vec::new();
     let mut max_seq = 0u64;
     for line in text.lines() {

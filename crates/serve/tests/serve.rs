@@ -240,6 +240,36 @@ fn restart_resumes_a_half_finished_job_bit_identically() {
 }
 
 #[test]
+fn torn_jobs_log_tail_does_not_swallow_later_lines() {
+    let dir = state_dir("torn-log");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A kill mid-append left j6's JOB line without its newline.
+    std::fs::write(
+        dir.join("jobs.log"),
+        format!("JOB j5 {}\nJOB j6 {{\"plat", escape_json(JOB_A)),
+    )
+    .unwrap();
+
+    // j5 resumes and finishes; its DONE line must land on a line of its
+    // own rather than be glued onto the fragment.
+    let mut server = Server::start("127.0.0.1:0", &dir, opts(2)).unwrap();
+    server.wait_job("j5").expect("j5 resumes");
+    server.stop();
+    drop(server);
+
+    let server = Server::start("127.0.0.1:0", &dir, opts(2)).unwrap();
+    let client = Client::new(server.local_addr().to_string());
+    assert_eq!(
+        client.status("j5").unwrap().status,
+        404,
+        "a finished job must not resume again"
+    );
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graceful_stop_then_restart_finishes_the_job() {
     let dir = state_dir("stop");
     let body = JOB_B;

@@ -15,8 +15,8 @@
 //! * [`resource`] — calendar-based single-server resources ([`Calendar`])
 //!   used to model buses, banks, controllers and optical routes, with
 //!   per-tag busy-time accounting for bandwidth breakdowns.
-//! * [`stats`] — counters, running statistics, histograms and labelled
-//!   breakdowns used to produce the paper's figures.
+//! * [`stats`] — counters, running means, histograms and utilization
+//!   timelines used to produce the paper's figures.
 //! * [`rng`] — a small deterministic random number generator
 //!   ([`SplitMix64`]) so simulations are exactly reproducible.
 //!
@@ -60,7 +60,7 @@ pub use resource::{Calendar, TaggedCalendar};
 pub use rng::SplitMix64;
 pub use shard::{spins_before_yield, EntryId, EpochQueue, SpinBarrier};
 pub use sparse::SparseState;
-pub use stats::{Breakdown, Counter, Histogram, RunningStats, TimeSeries, Timeline};
+pub use stats::{Counter, Histogram, RunningStats, Timeline};
 pub use time::{Freq, Ps};
 
 /// Iteration budget for randomized property tests and soak runs.

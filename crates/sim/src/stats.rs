@@ -53,7 +53,7 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Running min/max/mean statistics over `f64` samples.
+/// Running count/sum/mean over `f64` samples.
 ///
 /// # Example
 ///
@@ -62,29 +62,19 @@ impl fmt::Display for Counter {
 /// let mut s = RunningStats::new();
 /// for x in [1.0, 2.0, 3.0] { s.push(x); }
 /// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
+/// assert_eq!(s.sum(), 6.0);
 /// assert_eq!(s.count(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunningStats {
     count: u64,
     sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        RunningStats::default()
     }
 
     /// Adds a sample.
@@ -92,9 +82,6 @@ impl RunningStats {
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
-        self.sum_sq += x * x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Adds a [`Ps`] duration sample, in nanoseconds.
@@ -120,64 +107,6 @@ impl RunningStats {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Population variance (0 when empty).
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            let m = self.mean();
-            (self.sum_sq / self.count as f64 - m * m).max(0.0)
-        }
-    }
-
-    /// Population standard deviation (0 when empty).
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
     }
 }
 
@@ -286,16 +215,6 @@ impl Histogram {
         }
     }
 
-    /// Merges another histogram's samples into this one. Bucket layouts
-    /// are identical by construction, so the merge is exact.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Iterates `(bucket_index, lower_bound, count)` over non-empty buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         self.buckets
@@ -323,88 +242,11 @@ impl Histogram {
     }
 }
 
-/// A time-bucketed accumulator for "quantity over time" series
-/// (bandwidth timelines, migration-rate plots).
-///
-/// Samples are added at an instant and summed into fixed-width buckets;
-/// the series grows as needed.
-///
-/// # Example
-///
-/// ```
-/// use ohm_sim::{stats::TimeSeries, Ps};
-///
-/// let mut ts = TimeSeries::new(Ps::from_us(1));
-/// ts.record(Ps::from_ns(200), 64.0);
-/// ts.record(Ps::from_ns(900), 64.0);
-/// ts.record(Ps::from_us(1), 32.0);
-/// assert_eq!(ts.buckets(), &[128.0, 32.0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    bucket: Ps,
-    values: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket width is zero.
-    pub fn new(bucket: Ps) -> Self {
-        assert!(bucket > Ps::ZERO, "bucket width must be positive");
-        TimeSeries {
-            bucket,
-            values: Vec::new(),
-        }
-    }
-
-    /// Adds `amount` at instant `t`.
-    pub fn record(&mut self, t: Ps, amount: f64) {
-        let idx = (t.as_ps() / self.bucket.as_ps()) as usize;
-        if idx >= self.values.len() {
-            self.values.resize(idx + 1, 0.0);
-        }
-        self.values[idx] += amount;
-    }
-
-    /// The bucket width.
-    pub fn bucket_width(&self) -> Ps {
-        self.bucket
-    }
-
-    /// The bucket sums, oldest first.
-    pub fn buckets(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Sum across the whole series.
-    pub fn total(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Peak bucket value (0 when empty).
-    pub fn peak(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean rate per bucket over the observed span (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.total() / self.values.len() as f64
-        }
-    }
-}
-
 /// A windowed busy-time accumulator for "utilization over time" series.
 ///
-/// Unlike [`TimeSeries`], which sums point amounts, a `Timeline` accounts
-/// *intervals*: each `[start, end)` busy interval is split across
-/// fixed-width windows, so every window ends up with the busy time that
-/// actually fell inside it. Dividing by the window width gives a
+/// A `Timeline` accounts *intervals*: each `[start, end)` busy interval
+/// is split across fixed-width windows, so every window ends up with the
+/// busy time that actually fell inside it. Dividing by the window width gives a
 /// utilization-over-time curve for one resource (a controller pipeline, an
 /// optical virtual channel, a DRAM module).
 ///
@@ -462,11 +304,6 @@ impl Timeline {
         }
     }
 
-    /// The window width.
-    pub fn window_width(&self) -> Ps {
-        self.window
-    }
-
     /// Number of windows observed so far.
     pub fn len(&self) -> usize {
         self.busy.len()
@@ -505,119 +342,6 @@ impl Timeline {
             .map(|i| self.utilization_in(i))
             .fold(0.0, f64::max)
     }
-
-    /// Merges another timeline into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window widths differ.
-    pub fn merge(&mut self, other: &Timeline) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge timelines with different window widths"
-        );
-        if other.busy.len() > self.busy.len() {
-            self.busy.resize(other.busy.len(), Ps::ZERO);
-        }
-        for (slot, &b) in self.busy.iter_mut().zip(other.busy.iter()) {
-            *slot += b;
-        }
-    }
-}
-
-/// A labelled breakdown of a quantity into named categories.
-///
-/// Backed by a fixed label set chosen at construction; used for the
-/// execution-time and energy breakdown figures.
-///
-/// # Example
-///
-/// ```
-/// use ohm_sim::Breakdown;
-/// let mut b = Breakdown::new(&["compute", "transfer", "storage"]);
-/// b.add("compute", 34.0);
-/// b.add("transfer", 45.0);
-/// b.add("storage", 21.0);
-/// assert!((b.fraction("transfer") - 0.45).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Breakdown {
-    labels: Vec<&'static str>,
-    values: Vec<f64>,
-}
-
-impl Breakdown {
-    /// Creates a breakdown over the given labels, all zero.
-    pub fn new(labels: &[&'static str]) -> Self {
-        Breakdown {
-            labels: labels.to_vec(),
-            values: vec![0.0; labels.len()],
-        }
-    }
-
-    /// Adds `amount` to the category `label`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is not one of the construction labels.
-    pub fn add(&mut self, label: &str, amount: f64) {
-        let i = self.index_of(label);
-        self.values[i] += amount;
-    }
-
-    /// Value of a category.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is not one of the construction labels.
-    pub fn get(&self, label: &str) -> f64 {
-        self.values[self.index_of(label)]
-    }
-
-    /// Sum across all categories.
-    pub fn total(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Fraction of the total in `label` (0 when the total is 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is not one of the construction labels.
-    pub fn fraction(&self, label: &str) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.get(label) / total
-        }
-    }
-
-    /// Iterates `(label, value)` pairs in construction order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.labels.iter().copied().zip(self.values.iter().copied())
-    }
-
-    fn index_of(&self, label: &str) -> usize {
-        self.labels
-            .iter()
-            .position(|&l| l == label)
-            .unwrap_or_else(|| panic!("unknown breakdown label: {label}"))
-    }
-}
-
-impl fmt::Display for Breakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total = self.total();
-        for (i, (label, v)) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            let pct = if total == 0.0 { 0.0 } else { 100.0 * v / total };
-            write!(f, "{label}: {v:.3} ({pct:.1}%)")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -640,32 +364,15 @@ mod tests {
             s.push(x);
         }
         assert_eq!(s.count(), 4);
+        assert_eq!(s.sum(), 20.0);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 8.0);
-        assert!((s.variance() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn running_stats_empty_is_zero() {
         let s = RunningStats::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge() {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        a.push(1.0);
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-        a.merge(&RunningStats::new()); // merging empty is a no-op
-        assert_eq!(a.count(), 2);
     }
 
     #[test]
@@ -721,27 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut reference = Histogram::new();
-        for x in [1u64, 5, 9000] {
-            a.record(x);
-            reference.record(x);
-        }
-        for x in [0u64, 5, 1 << 40] {
-            b.record(x);
-            reference.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), reference.count());
-        assert_eq!(a.mean(), reference.mean());
-        for i in 0..Histogram::buckets() {
-            assert_eq!(a.bucket_count(i), reference.bucket_count(i), "bucket {i}");
-        }
-    }
-
-    #[test]
     fn timeline_splits_intervals_across_windows() {
         let mut tl = Timeline::new(Ps::from_ns(100));
         tl.record_busy(Ps::from_ns(50), Ps::from_ns(250));
@@ -777,80 +463,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_merge_accumulates() {
-        let mut a = Timeline::new(Ps::from_ns(10));
-        let mut b = Timeline::new(Ps::from_ns(10));
-        a.record_busy(Ps::ZERO, Ps::from_ns(5));
-        b.record_busy(Ps::from_ns(12), Ps::from_ns(18));
-        a.merge(&b);
-        assert_eq!(a.busy_in(0), Ps::from_ns(5));
-        assert_eq!(a.busy_in(1), Ps::from_ns(6));
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different window widths")]
-    fn timeline_merge_rejects_mismatched_windows() {
-        let mut a = Timeline::new(Ps::from_ns(10));
-        a.merge(&Timeline::new(Ps::from_ns(20)));
-    }
-
-    #[test]
     #[should_panic(expected = "window width")]
     fn timeline_zero_window_rejected() {
         let _ = Timeline::new(Ps::ZERO);
-    }
-
-    #[test]
-    fn time_series_buckets_and_stats() {
-        let mut ts = TimeSeries::new(Ps::from_ns(100));
-        ts.record(Ps::ZERO, 1.0);
-        ts.record(Ps::from_ns(99), 2.0);
-        ts.record(Ps::from_ns(100), 4.0);
-        ts.record(Ps::from_ns(350), 8.0);
-        assert_eq!(ts.buckets(), &[3.0, 4.0, 0.0, 8.0]);
-        assert_eq!(ts.total(), 15.0);
-        assert_eq!(ts.peak(), 8.0);
-        assert!((ts.mean() - 3.75).abs() < 1e-12);
-        assert_eq!(ts.bucket_width(), Ps::from_ns(100));
-    }
-
-    #[test]
-    fn empty_time_series_is_quiet() {
-        let ts = TimeSeries::new(Ps::from_ns(10));
-        assert!(ts.buckets().is_empty());
-        assert_eq!(ts.total(), 0.0);
-        assert_eq!(ts.peak(), 0.0);
-        assert_eq!(ts.mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_bucket_rejected() {
-        let _ = TimeSeries::new(Ps::ZERO);
-    }
-
-    #[test]
-    fn breakdown_fractions() {
-        let mut b = Breakdown::new(&["a", "b"]);
-        b.add("a", 1.0);
-        b.add("b", 3.0);
-        assert_eq!(b.total(), 4.0);
-        assert!((b.fraction("a") - 0.25).abs() < 1e-12);
-        let pairs: Vec<_> = b.iter().collect();
-        assert_eq!(pairs, vec![("a", 1.0), ("b", 3.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown breakdown label")]
-    fn breakdown_unknown_label_panics() {
-        let b = Breakdown::new(&["a"]);
-        let _ = b.get("nope");
-    }
-
-    #[test]
-    fn breakdown_empty_fraction_is_zero() {
-        let b = Breakdown::new(&["a"]);
-        assert_eq!(b.fraction("a"), 0.0);
     }
 }

@@ -143,7 +143,7 @@ impl Interconnect {
 ///
 /// Behaves exactly like [`Interconnect::traverse`] restricted to the
 /// owned ports; message counts accumulate locally and are merged back by
-/// the coordinator (the count feeds the end-of-run resource summary).
+/// the coordinator, so the whole crossbar's count matches a serial run.
 #[derive(Debug)]
 pub struct PortShard<'a> {
     cfg: InterconnectConfig,
