@@ -8,8 +8,7 @@
 //!
 //! ```text
 //! perf_baseline [--smoke] [--reps N] [--out PATH] [--no-compare]
-//!               [--footprint LIST] [--cell-threads LIST]
-//!               [--checkpoint PATH]
+//!               [--footprint LIST] [--checkpoint PATH]
 //! ```
 //!
 //! `--checkpoint PATH` runs the measured grid through the durable-sweep
@@ -36,14 +35,6 @@
 //! only what the flag names. Points run in ascending footprint order
 //! because `VmHWM` is a monotonic high-water mark: a flat `peak_rss_kb`
 //! column across ascending points is exactly the bounded-memory claim.
-//!
-//! `--cell-threads 1,2,4` additionally sweeps the intra-cell sharded
-//! event loop (DESIGN.md §3.8) over worker counts on the pagerank
-//! corner, one cell at a time so each point owns the machine, recording
-//! per-platform events/sec and the speedup over the one-thread point.
-//! Full runs sweep `1,2,4` by default; smoke runs sweep only what the
-//! flag names. Strict mode keeps the *simulated* results bit-identical
-//! across the sweep — only the wall clock moves.
 //!
 //! If a previous baseline already exists at the output path, the new
 //! measurement is compared against it cell-by-cell (matched on
@@ -83,10 +74,6 @@ const DEFAULT_FOOTPRINTS: &str = "256M,1G,4G,16G";
 /// (footprint-independent simulation should stay roughly flat).
 const FOOTPRINT_WARN_FRACTION: f64 = 0.5;
 
-/// Cell-thread counts a full (non-smoke) run sweeps when
-/// `--cell-threads` is not given.
-const DEFAULT_CELL_THREADS: &str = "1,2,4";
-
 struct Args {
     smoke: bool,
     reps: usize,
@@ -94,8 +81,6 @@ struct Args {
     compare: bool,
     /// Footprint sweep points in bytes (ascending); empty to skip.
     footprints: Vec<u64>,
-    /// Intra-cell worker counts to sweep (ascending); empty to skip.
-    cell_threads: Vec<usize>,
     /// Durable-sweep journal for the measured grid; `None` runs plain.
     checkpoint: Option<String>,
 }
@@ -103,8 +88,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: perf_baseline [--smoke] [--reps N] [--out PATH] [--no-compare] \
-         [--footprint LIST] [--cell-threads LIST] [--checkpoint PATH]  \
-         (LIST e.g. 256M,1G,16G / 1,2,4)"
+         [--footprint LIST] [--checkpoint PATH]  (LIST e.g. 256M,1G,16G)"
     );
     std::process::exit(2);
 }
@@ -137,17 +121,6 @@ fn parse_footprint_list(list: &str) -> Option<Vec<u64>> {
     Some(points)
 }
 
-/// Parses an ascending, deduplicated positive-integer list (`1,2,4`).
-fn parse_thread_list(list: &str) -> Option<Vec<usize>> {
-    let mut points = list
-        .split(',')
-        .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-        .collect::<Option<Vec<usize>>>()?;
-    points.sort_unstable();
-    points.dedup();
-    Some(points)
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
@@ -155,11 +128,9 @@ fn parse_args() -> Args {
         out: "BENCH_throughput.json".to_string(),
         compare: true,
         footprints: Vec::new(),
-        cell_threads: Vec::new(),
         checkpoint: None,
     };
     let mut explicit_footprints = false;
-    let mut explicit_cell_threads = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -180,13 +151,6 @@ fn parse_args() -> Args {
                 }
                 None => usage(),
             },
-            "--cell-threads" => match it.next().as_deref().and_then(parse_thread_list) {
-                Some(points) => {
-                    args.cell_threads = points;
-                    explicit_cell_threads = true;
-                }
-                None => usage(),
-            },
             "--checkpoint" => match it.next() {
                 Some(p) => args.checkpoint = Some(p),
                 None => usage(),
@@ -203,9 +167,6 @@ fn parse_args() -> Args {
     }
     if !args.smoke && !explicit_footprints {
         args.footprints = parse_footprint_list(DEFAULT_FOOTPRINTS).unwrap();
-    }
-    if !args.smoke && !explicit_cell_threads {
-        args.cell_threads = parse_thread_list(DEFAULT_CELL_THREADS).unwrap();
     }
     let cfg = SystemConfig::quick_test();
     for &f in &args.footprints {
@@ -431,91 +392,12 @@ fn measure_footprints(points: &[u64]) -> Vec<FootprintPoint> {
         .collect()
 }
 
-/// One measured cell-thread sweep point (one platform at one worker
-/// count on the pagerank corner).
-struct CellThreadPoint {
-    threads: usize,
-    platform: &'static str,
-    events_per_sec: f64,
-    /// Events/sec relative to the same platform's one-thread point
-    /// (1.0 when the sweep does not include threads = 1).
-    speedup: f64,
-    /// Whether the sharded scheduler actually engaged (false at one
-    /// thread, or when the configuration fell back to serial).
-    engaged: bool,
-}
-
-/// Sweeps the intra-cell sharded event loop over `counts` worker
-/// threads: pagerank (the memory-bound corner the sharding targets)
-/// across three platforms, one cell at a time, best-of-`reps`.
-///
-/// Points call [`ohm_core::system::System::set_cell_threads`] directly rather than going
-/// through the grid runner's oversubscription budget: each point owns
-/// the whole machine, and the axis exists to measure the sharded
-/// scheduler itself — including, honestly, its barrier overhead when
-/// the host exposes fewer cores than the requested workers.
-fn measure_cell_threads(counts: &[usize], reps: usize) -> Vec<CellThreadPoint> {
-    let cfg = SystemConfig::quick_test();
-    let platforms = [Platform::Hetero, Platform::OhmBase, Platform::OhmBw];
-    let spec = tier1_specs()
-        .into_iter()
-        .find(|s| s.name == "pagerank")
-        .expect("pagerank is a Table II workload");
-    let mut points = Vec::new();
-    for &threads in counts {
-        for &platform in &platforms {
-            let mut best: Option<(Duration, u64)> = None;
-            let mut engaged = false;
-            for _ in 0..reps {
-                let mut sys =
-                    ohm_core::system::System::new(&cfg, platform, OperationalMode::Planar, &spec);
-                sys.set_cell_threads(threads);
-                let start = std::time::Instant::now();
-                let report = sys.run();
-                let wall = start.elapsed();
-                engaged = sys.used_cell_parallelism();
-                let events = report.instructions + report.mem_requests;
-                if best.as_ref().is_none_or(|(b, _)| wall < *b) {
-                    best = Some((wall, events));
-                }
-            }
-            let (wall, events) = best.expect("at least one rep");
-            let events_per_sec = events as f64 / wall.as_secs_f64().max(1e-9);
-            let serial_eps = points
-                .iter()
-                .find(|q: &&CellThreadPoint| q.threads == 1 && q.platform == platform.name())
-                .map(|q| q.events_per_sec);
-            points.push(CellThreadPoint {
-                threads,
-                platform: platform.name(),
-                events_per_sec,
-                speedup: serial_eps.map_or(1.0, |s| events_per_sec / s.max(1e-9)),
-                engaged,
-            });
-            eprintln!(
-                "cell-threads {threads}: {} {:.0} events/sec ({:.2}x{})",
-                platform.name(),
-                events_per_sec,
-                points.last().unwrap().speedup,
-                if engaged { ", sharded" } else { ", serial" }
-            );
-        }
-    }
-    points
-}
-
 /// Renders the measurement as the committed JSON document (hand-rolled,
 /// like `trace.rs`: the workspace is dependency-free). One cell per line
 /// with a fixed key order — `parse_baseline` below relies on that shape.
 /// Free-form strings (host facts, workload names) go through
 /// [`escape_json`] so an exotic value cannot corrupt the document.
-fn render_json(
-    cells: &[Cell],
-    footprints: &[FootprintPoint],
-    cell_threads: &[CellThreadPoint],
-    reps: usize,
-    geomean: f64,
-) -> String {
+fn render_json(cells: &[Cell], footprints: &[FootprintPoint], reps: usize, geomean: f64) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     out.push_str("{\n");
@@ -556,44 +438,11 @@ fn render_json(
         );
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
-    if footprints.is_empty() && cell_threads.is_empty() {
+    if footprints.is_empty() {
         out.push_str("  ]\n}\n");
         return out;
     }
     out.push_str("  ],\n");
-    if !cell_threads.is_empty() {
-        let _ = writeln!(
-            out,
-            "  \"cell_thread_sweep\": \"quick_test x pagerank (256 MiB) x {{Hetero, \
-             Ohm-base, Ohm-bw}} x Planar, one cell at a time, best of {reps}; strict \
-             sharded event loop (DESIGN.md section 3.8), simulated results identical \
-             across the sweep\","
-        );
-        out.push_str("  \"cell_threads\": [\n");
-        for (i, p) in cell_threads.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{ \"threads\": {}, \"platform\": \"{}\", \
-                 \"cell_events_per_sec\": {:.1}, \"speedup_vs_1t\": {:.3}, \
-                 \"sharded\": {} }}",
-                p.threads,
-                escape_json(p.platform),
-                p.events_per_sec,
-                p.speedup,
-                p.engaged
-            );
-            out.push_str(if i + 1 < cell_threads.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        if footprints.is_empty() {
-            out.push_str("  ]\n}\n");
-            return out;
-        }
-        out.push_str("  ],\n");
-    }
     let _ = writeln!(
         out,
         "  \"footprint_grid\": \"quick_test x {{lud, pagerank}} x {{Hetero, Ohm-base, \
@@ -721,31 +570,6 @@ fn main() {
         }
     }
 
-    let cell_threads = if args.cell_threads.is_empty() {
-        Vec::new()
-    } else {
-        eprintln!(
-            "cell-thread sweep: {}",
-            args.cell_threads
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let points = measure_cell_threads(&args.cell_threads, args.reps);
-        println!(
-            "{:<8} {:<10} {:>16} {:>12}",
-            "threads", "platform", "events/sec", "vs 1t"
-        );
-        for p in &points {
-            println!(
-                "{:<8} {:<10} {:>16.0} {:>11.2}x",
-                p.threads, p.platform, p.events_per_sec, p.speedup
-            );
-        }
-        points
-    };
-
     let footprints = if args.footprints.is_empty() {
         Vec::new()
     } else {
@@ -771,7 +595,7 @@ fn main() {
         points
     };
 
-    let json = render_json(&cells, &footprints, &cell_threads, args.reps, geomean);
+    let json = render_json(&cells, &footprints, args.reps, geomean);
     std::fs::write(&args.out, &json).expect("write baseline JSON");
     eprintln!("wrote {}", args.out);
 }
@@ -828,28 +652,9 @@ mod tests {
                 peak_rss_kb: 52_000,
             },
         ];
-        let sweep = vec![
-            CellThreadPoint {
-                threads: 1,
-                platform: "Ohm-base",
-                events_per_sec: 1e6,
-                speedup: 1.0,
-                engaged: false,
-            },
-            CellThreadPoint {
-                threads: 4,
-                platform: "Ohm-base",
-                events_per_sec: 1.5e6,
-                speedup: 1.5,
-                engaged: true,
-            },
-        ];
-        let json = render_json(&cells, &footprints, &sweep, 3, 70_710.7);
+        let json = render_json(&cells, &footprints, 3, 70_710.7);
         assert!(json.contains("\"footprint\": \"16G\""));
-        assert!(json.contains("\"speedup_vs_1t\": 1.500"));
-        // Neither the footprint nor the sweep lines may confuse the
-        // cell-oriented parser (the sweep's rate key is deliberately
-        // `cell_events_per_sec`, which the cell filter cannot match).
+        // The footprint lines may not confuse the cell-oriented parser.
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "Ohm-base");
@@ -859,23 +664,10 @@ mod tests {
         assert_eq!(n, 2);
         assert!((speedup - 1.0).abs() < 1e-9);
         // A sweep-free document keeps the schema-1 shape.
-        let plain = render_json(&cells, &[], &[], 3, 70_710.7);
+        let plain = render_json(&cells, &[], 3, 70_710.7);
         assert!(!plain.contains("footprints"));
-        assert!(!plain.contains("cell_threads"));
+        assert!(plain.trim_end().ends_with('}'));
         assert_eq!(parse_baseline(&plain).len(), 2);
-        // A cell-threads-only document stays well-formed.
-        let ct_only = render_json(&cells, &[], &sweep, 3, 70_710.7);
-        assert!(ct_only.contains("\"cell_threads\": ["));
-        assert!(ct_only.trim_end().ends_with('}'));
-        assert_eq!(parse_baseline(&ct_only).len(), 2);
-    }
-
-    #[test]
-    fn thread_list_parsing() {
-        assert_eq!(parse_thread_list("1,2,4"), Some(vec![1, 2, 4]));
-        assert_eq!(parse_thread_list("4, 2,2"), Some(vec![2, 4]));
-        assert_eq!(parse_thread_list("0"), None);
-        assert_eq!(parse_thread_list("x"), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! workload spec. Anything that can change a simulated result is in the
 //! key; harness knobs that provably cannot (worker counts and the
 //! profiling flag — results are bit-identical across all
-//! of them, DESIGN.md §3.8) are deliberately not. Renaming or adding a
+//! of them, DESIGN.md §3.2) are deliberately not. Renaming or adding a
 //! config field changes the canonical form and therefore the key, which
 //! is the conservative behaviour a result cache wants: a config whose
 //! *meaning* may have moved is re-simulated, never replayed.

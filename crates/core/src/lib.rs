@@ -32,7 +32,7 @@
 //! The system model itself is layered (see [`system`]): a warp engine
 //! over cache glue over a memory subsystem whose platform policy is a
 //! [`system::MemoryBackend`] and whose channel is a [`system::Fabric`],
-//! all reporting through one [`system::StatsSink`].
+//! all recording into one [`system::RunStats`].
 //!
 //! # Quickstart
 //!

@@ -17,18 +17,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Clamps a per-cell worker request so grid-level × cell-level workers
-/// never oversubscribe [`default_threads`].
-///
-/// With `grid_threads` cells potentially running at once, each cell may
-/// use at most `default_threads() / grid_threads` workers (and always at
-/// least 1). A serial grid (`grid_threads <= 1`) leaves the whole budget
-/// to the single cell.
-pub fn budget_cell_threads(grid_threads: usize, cell_threads: usize) -> usize {
-    let budget = default_threads() / grid_threads.max(1);
-    cell_threads.clamp(1, budget.max(1))
-}
-
 /// Index of the most recently reported panicked cell, offset by one so 0
 /// means "none yet". Diagnostic only — read by tests to assert the
 /// failing-cell report fires at every thread count.
@@ -302,19 +290,6 @@ mod tests {
             msg.contains("cell 0: cell 0 exploded") && msg.contains("cell 1: cell 1 exploded"),
             "a concurrent panic was dropped: {msg:?}"
         );
-    }
-
-    #[test]
-    fn budget_caps_cell_threads_by_grid_width() {
-        let total = default_threads();
-        // A serial grid gets the whole machine.
-        assert_eq!(budget_cell_threads(1, total), total);
-        // A grid as wide as the machine leaves one worker per cell.
-        assert_eq!(budget_cell_threads(total, 8), 1);
-        // Requests are floored at one and never exceed the request itself.
-        assert_eq!(budget_cell_threads(1, 0), 1);
-        assert!(budget_cell_threads(2, 3) <= 3);
-        assert!(budget_cell_threads(2, 3) * 2 <= total.max(2));
     }
 
     #[test]

@@ -27,9 +27,8 @@ use crate::system::System;
 /// Fluent builder for one simulation cell — the single-run counterpart
 /// of [`GridRun`].
 ///
-/// Defaults: [`Platform::OhmBase`], [`OperationalMode::Planar`], the
-/// engine's own cell-thread default. The workload has no sensible
-/// default and must be set before executing.
+/// Defaults: [`Platform::OhmBase`] and [`OperationalMode::Planar`]. The
+/// workload has no sensible default and must be set before executing.
 ///
 /// ```
 /// use ohm_core::config::SystemConfig;
@@ -57,7 +56,6 @@ pub struct Run<'a> {
     platform: Platform,
     mode: OperationalMode,
     workload: Option<&'a WorkloadSpec>,
-    cell_threads: Option<usize>,
 }
 
 impl<'a> Run<'a> {
@@ -69,7 +67,6 @@ impl<'a> Run<'a> {
             platform: Platform::OhmBase,
             mode: OperationalMode::Planar,
             workload: None,
-            cell_threads: None,
         }
     }
 
@@ -88,15 +85,6 @@ impl<'a> Run<'a> {
     /// Selects the workload. Required before any `execute`.
     pub fn workload(mut self, spec: &'a WorkloadSpec) -> Self {
         self.workload = Some(spec);
-        self
-    }
-
-    /// Requests intra-cell event-loop workers
-    /// ([`System::set_cell_threads`], DESIGN.md §3.8). The
-    /// results are bit-identical at any count; unset, the engine's
-    /// `OHM_CELL_THREADS` default applies.
-    pub fn cell_threads(mut self, cell_threads: usize) -> Self {
-        self.cell_threads = Some(cell_threads.max(1));
         self
     }
 
@@ -130,11 +118,7 @@ impl<'a> Run<'a> {
     ///
     /// If no workload was selected.
     pub fn execute(&self) -> SimReport {
-        let mut sys = System::new(self.cfg, self.platform, self.mode, self.spec_or_panic());
-        if let Some(n) = self.cell_threads {
-            sys.set_cell_threads(n);
-        }
-        sys.run()
+        System::new(self.cfg, self.platform, self.mode, self.spec_or_panic()).run()
     }
 
     /// Captures the run's instruction stream to `out` in the
@@ -185,9 +169,6 @@ impl<W: std::io::Write + 'static> RecordedRun<'_, W> {
             spec,
             Box::new(recorder),
         );
-        if let Some(n) = self.run.cell_threads {
-            sys.set_cell_threads(n);
-        }
         let report = sys.run();
         drop(sys); // releases the recorder so the handle can finish
         Ok((report, handle.finish()?))
@@ -230,9 +211,6 @@ impl<R: std::io::BufRead + 'static> ReplayRun<'_, R> {
             spec,
             Box::new(replay),
         );
-        if let Some(n) = self.run.cell_threads {
-            sys.set_cell_threads(n);
-        }
         let report = sys.run();
         match errors.take() {
             Some(e) => Err(e),
@@ -263,7 +241,6 @@ impl<R: std::io::BufRead + 'static> ReplayRun<'_, R> {
 #[derive(Debug, Clone)]
 pub struct GridRun {
     threads: usize,
-    cell_threads: usize,
     profile: bool,
     checkpoint: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -282,7 +259,6 @@ impl GridRun {
     pub fn new() -> Self {
         GridRun {
             threads: default_threads(),
-            cell_threads: crate::system::default_cell_threads(),
             profile: false,
             checkpoint: None,
             fsync: FsyncPolicy::OnClose,
@@ -300,17 +276,6 @@ impl GridRun {
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Requests intra-cell event-loop workers per simulation
-    /// ([`System::set_cell_threads`], DESIGN.md §3.8). The request is
-    /// re-budgeted at run time with
-    /// [`budget_cell_threads`](crate::par::budget_cell_threads) so
-    /// grid-level × cell-level workers never oversubscribe the machine;
-    /// results are identical either way.
-    pub fn cell_threads(mut self, cell_threads: usize) -> Self {
-        self.cell_threads = cell_threads.max(1);
         self
     }
 
@@ -382,7 +347,6 @@ impl GridRun {
     ) -> GridResult {
         let cols = platforms.len();
         let n = specs.len() * cols;
-        let cell_threads = par::budget_cell_threads(self.threads, self.cell_threads);
 
         let cache = self.checkpoint.as_ref().map(|p| {
             ResultCache::open(p, self.fsync)
@@ -421,7 +385,6 @@ impl GridRun {
                 .platform(platforms[i % cols])
                 .mode(mode)
                 .workload(&specs[i / cols])
-                .cell_threads(cell_threads)
                 .execute();
             // Publish inside the job, not after the sweep: a run killed
             // mid-grid keeps every cell that finished.
@@ -781,25 +744,6 @@ mod tests {
         assert_eq!(norm[1], vec![0.0, 0.0]);
         let means = column_geomeans(&norm);
         assert!(means.iter().all(|m| m.is_finite()));
-    }
-
-    #[test]
-    fn grid_cell_threads_is_bit_identical_and_budgeted() {
-        let cfg = SystemConfig::quick_test();
-        let specs = vec![workload_by_name("pagerank").unwrap()];
-        let platforms = [Platform::OhmBase, Platform::Oracle];
-        let reference = GridRun::serial()
-            .cell_threads(1)
-            .run(&cfg, &platforms, OperationalMode::Planar, &specs)
-            .rows;
-        // Grid workers × cell workers together; sharding keeps the
-        // reports bit-identical while the budget caps oversubscription.
-        let sharded = GridRun::new()
-            .threads(2)
-            .cell_threads(8)
-            .run(&cfg, &platforms, OperationalMode::Planar, &specs)
-            .rows;
-        assert_eq!(reference, sharded);
     }
 
     #[test]

@@ -12,12 +12,6 @@
 //!   the private `origin` module).
 //! - `PlanarBackend` — hot-page promotion by DRAM/XPoint page swaps.
 //! - `TwoLevelBackend` — DRAM as a direct-mapped cache over XPoint.
-//!
-//! Per-request policy state is strictly per-controller on the Planar and
-//! TwoLevel backends, so those backends can lend disjoint controller
-//! ranges to the epoch scheduler as [`BackendShard`]s; only *report-time*
-//! aggregation (planner wear) crosses controllers, and it stays on the
-//! whole backend, preserving its exact floating-point reduction order.
 
 use ohm_hetero::{
     MigrationCaps, PlanarConfig, PlanarLocation, PlanarMapping, Platform, SwapRequest,
@@ -79,97 +73,6 @@ pub trait MemoryBackend {
     fn state_bytes(&self) -> usize {
         0
     }
-
-    /// Lends the backend's per-controller policy state out as disjoint
-    /// contiguous shards, one per entry of `counts`, for the epoch
-    /// scheduler's workers. `None` (the default) means the backend holds
-    /// cross-controller request-path state and cannot shard — the run
-    /// falls back to the serial loop.
-    fn split_mc(&mut self, _counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        None
-    }
-}
-
-/// A contiguous slice of one backend's per-controller policy state, lent
-/// to one epoch-scheduler worker. Controller indices stay *global* and
-/// are rebased internally; request-path behaviour is identical to the
-/// whole backend's, byte for byte. Report-time queries (planner wear,
-/// host report, state bytes) stay on the whole backend.
-pub enum BackendShard<'a> {
-    /// A backend with no per-request policy state (Oracle).
-    Stateless,
-    /// A slice of the planar backend's per-controller page mappings.
-    Planar {
-        /// Mappings for controllers `base..base + maps.len()`.
-        maps: &'a mut [PlanarMapping],
-        /// Migration capabilities of the platform (shared, `Copy`).
-        caps: MigrationCaps,
-        /// Global controller index of `maps[0]`.
-        base: usize,
-    },
-    /// A slice of the two-level backend's per-controller tag state.
-    TwoLevel {
-        /// Caches for controllers `base..base + caches.len()`.
-        caches: &'a mut [TwoLevelCache],
-        /// Migration capabilities of the platform (shared, `Copy`).
-        caps: MigrationCaps,
-        /// Global controller index of `caches[0]`.
-        base: usize,
-    },
-}
-
-impl MemoryBackend for BackendShard<'_> {
-    fn service(
-        &mut self,
-        env: &mut MemEnv<'_>,
-        now: Ps,
-        mc: usize,
-        _ga: Addr,
-        la: Addr,
-        kind: MemKind,
-    ) -> Ps {
-        match self {
-            BackendShard::Stateless => oracle_service(env, now, mc, la, kind),
-            BackendShard::Planar { maps, caps, base } => {
-                planar_service(&mut maps[mc - *base], *caps, env, now, mc, la, kind)
-            }
-            BackendShard::TwoLevel { caches, caps, base } => {
-                twolevel_service(&mut caches[mc - *base], *caps, env, now, mc, la, kind)
-            }
-        }
-    }
-
-    fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
-        match self {
-            BackendShard::Stateless => {}
-            BackendShard::Planar { maps, base, .. } => {
-                maps[mc - *base].retire_xpoint_page(xpoint_addr);
-            }
-            BackendShard::TwoLevel { caches, base, .. } => {
-                caches[mc - *base].retire_line(xpoint_addr);
-            }
-        }
-    }
-}
-
-/// Splits `items` into contiguous chunks sized by `counts`, tagging each
-/// with its starting index.
-fn split_counts<'a, T>(items: &'a mut [T], counts: &[usize]) -> Vec<(&'a mut [T], usize)> {
-    assert_eq!(
-        counts.iter().sum::<usize>(),
-        items.len(),
-        "shard counts must cover every controller"
-    );
-    let mut out = Vec::with_capacity(counts.len());
-    let mut rest = items;
-    let mut base = 0;
-    for &n in counts {
-        let (head, tail) = rest.split_at_mut(n);
-        out.push((head, base));
-        rest = tail;
-        base += n;
-    }
-    out
 }
 
 /// Builds the policy backend for `platform`, sized like the devices in
@@ -226,12 +129,6 @@ pub(crate) fn build_backend(
 /// Oracle: every access is a local DRAM hit — the all-DRAM upper bound.
 struct OracleBackend;
 
-/// Services one oracle request: a local DRAM hit, no policy at all.
-fn oracle_service(env: &mut MemEnv<'_>, now: Ps, mc: usize, la: Addr, kind: MemKind) -> Ps {
-    env.stats.record_service(true);
-    env.dram_line_rt(now, mc, la, kind)
-}
-
 impl MemoryBackend for OracleBackend {
     fn service(
         &mut self,
@@ -242,11 +139,8 @@ impl MemoryBackend for OracleBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        oracle_service(env, now, mc, la, kind)
-    }
-
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        Some(counts.iter().map(|_| BackendShard::Stateless).collect())
+        env.stats.record_service(true);
+        env.dram_line_rt(now, mc, la, kind)
     }
 }
 
@@ -256,45 +150,6 @@ struct PlanarBackend {
     /// Per-controller page mapping and hotness tracking.
     maps: Vec<PlanarMapping>,
     caps: MigrationCaps,
-}
-
-/// Services one planar request at controller `mc` against that
-/// controller's mapping (shared by the whole backend and its shards).
-fn planar_service(
-    map: &mut PlanarMapping,
-    caps: MigrationCaps,
-    env: &mut MemEnv<'_>,
-    now: Ps,
-    mc: usize,
-    la: Addr,
-    kind: MemKind,
-) -> Ps {
-    if let Some(req) = map.record_access(la) {
-        planar_swap(map, caps, env, now, mc, req);
-    }
-    match map.lookup(la) {
-        PlanarLocation::Dram(pa) => {
-            // While the page's swap is still in flight the data lives
-            // at its old XPoint location; serve from the stale copy
-            // rather than stalling (the remap commits at swap end).
-            if let Some(r) = env.mc(mc).conflicts.redirect_dram(pa) {
-                let paired = r.paired;
-                env.stats.record_service(false);
-                return env.xpoint_line_rt(now, mc, paired, kind);
-            }
-            env.stats.record_service(true);
-            env.dram_line_rt(now, mc, pa, kind)
-        }
-        PlanarLocation::XPoint(pa) => {
-            if let Some(r) = env.mc(mc).conflicts.redirect_xpoint(pa) {
-                let paired = r.paired;
-                env.stats.record_service(true);
-                return env.dram_line_rt(now, mc, paired, kind);
-            }
-            env.stats.record_service(false);
-            env.xpoint_line_rt(now, mc, pa, kind)
-        }
-    }
 }
 
 /// Books one page swap's machinery and commits the remap.
@@ -448,7 +303,33 @@ impl MemoryBackend for PlanarBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        planar_service(&mut self.maps[mc], self.caps, env, now, mc, la, kind)
+        let map = &mut self.maps[mc];
+        if let Some(req) = map.record_access(la) {
+            planar_swap(map, self.caps, env, now, mc, req);
+        }
+        match map.lookup(la) {
+            PlanarLocation::Dram(pa) => {
+                // While the page's swap is still in flight the data lives
+                // at its old XPoint location; serve from the stale copy
+                // rather than stalling (the remap commits at swap end).
+                if let Some(r) = env.mc(mc).conflicts.redirect_dram(pa) {
+                    let paired = r.paired;
+                    env.stats.record_service(false);
+                    return env.xpoint_line_rt(now, mc, paired, kind);
+                }
+                env.stats.record_service(true);
+                env.dram_line_rt(now, mc, pa, kind)
+            }
+            PlanarLocation::XPoint(pa) => {
+                if let Some(r) = env.mc(mc).conflicts.redirect_xpoint(pa) {
+                    let paired = r.paired;
+                    env.stats.record_service(true);
+                    return env.dram_line_rt(now, mc, paired, kind);
+                }
+                env.stats.record_service(false);
+                env.xpoint_line_rt(now, mc, pa, kind)
+            }
+        }
     }
 
     fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
@@ -472,16 +353,6 @@ impl MemoryBackend for PlanarBackend {
     fn state_bytes(&self) -> usize {
         self.maps.iter().map(|m| m.state_bytes()).sum()
     }
-
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        let caps = self.caps;
-        Some(
-            split_counts(&mut self.maps, counts)
-                .into_iter()
-                .map(|(maps, base)| BackendShard::Planar { maps, caps, base })
-                .collect(),
-        )
-    }
 }
 
 /// Two-level mode: the DRAM module is a direct-mapped, line-grained
@@ -490,111 +361,6 @@ struct TwoLevelBackend {
     /// Per-controller tag/dirty state.
     caches: Vec<TwoLevelCache>,
     caps: MigrationCaps,
-}
-
-/// Services one two-level request at controller `mc` against that
-/// controller's tag state (shared by the whole backend and its shards).
-fn twolevel_service(
-    cache: &mut TwoLevelCache,
-    caps: MigrationCaps,
-    env: &mut MemEnv<'_>,
-    now: Ps,
-    mc: usize,
-    la: Addr,
-    kind: MemKind,
-) -> Ps {
-    let line_bits = env.cfg.line_bytes * 8;
-    let is_write = matches!(kind, MemKind::Write);
-    let span = cache.config().xpoint_bytes;
-    let la = Addr::new(la.get() % span);
-    match cache.access(la, is_write) {
-        TwoLevelOutcome::Hit { dram_addr } => {
-            env.stats.record_service(true);
-            let stall = env
-                .mc(mc)
-                .conflicts
-                .stall_until(dram_addr)
-                .unwrap_or(Ps::ZERO);
-            env.dram_line_rt(now.max(stall), mc, dram_addr, kind)
-        }
-        TwoLevelOutcome::Miss {
-            dram_addr,
-            xpoint_addr,
-            evict_to,
-        } => {
-            env.stats.record_service(false);
-            env.stats.record_migration();
-            // 1. Tag-check read: the MC always reads the DRAM line (tag
-            //    travels with data in the ECC bits).
-            let tag_read = env.dram_line_rt(now, mc, dram_addr, MemKind::Read);
-            // 2. Fetch the missing line from XPoint (demand-critical:
-            //    the read is booked before the victim's buffered write
-            //    so it is not queued behind a 763 ns drain). With
-            //    reverse write, the XPoint->DRAM fill transfer itself
-            //    delivers the data: the MC's DDR monitor snarfs the
-            //    memory-route burst (Figure 12), so nothing but the
-            //    command uses the data route.
-            let data_at_mc = if caps.reverse_write {
-                let (_, cmd_done) =
-                    env.fabric
-                        .xfer(tag_read, mc, CMD_BITS, TrafficClass::Demand, DEV_XPOINT);
-                let ready = {
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.read(cmd_done, xpoint_addr).ready_at
-                };
-                env.mc(mc).ddr_monitor.arm(cmd_done, xpoint_addr);
-                let (fill_start, fill_done) = env.fabric.memory_route(ready, mc, line_bits);
-                let m = env.mc(mc);
-                m.ddr_monitor.begin_snarf(fill_start);
-                m.ddr_monitor.complete(fill_done);
-                m.dram.access(fill_done, dram_addr, MemKind::Write);
-                fill_done
-            } else {
-                env.xpoint_line_rt(tag_read, mc, xpoint_addr, MemKind::Read)
-            };
-            // 3. Dirty victim eviction.
-            if let Some(victim) = evict_to {
-                if caps.auto_rw {
-                    // The XPoint controller snarfed the tag-read burst
-                    // and takes over the eviction (Figure 9b).
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.snarf_write(tag_read, victim);
-                } else {
-                    let (_, evict_xfer) = env.fabric.xfer(
-                        tag_read,
-                        mc,
-                        CMD_BITS + line_bits,
-                        TrafficClass::Migration,
-                        DEV_XPOINT,
-                    );
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.write(evict_xfer, victim);
-                }
-            }
-            // 4. Fill the DRAM cacheline (reverse write already filled
-            //    it from the snarfed burst above).
-            if !caps.reverse_write {
-                let (_, fill_xfer) = env.fabric.xfer(
-                    data_at_mc,
-                    mc,
-                    CMD_BITS + line_bits,
-                    TrafficClass::Migration,
-                    DEV_DRAM,
-                );
-                env.mc(mc).dram.access(fill_xfer, dram_addr, MemKind::Write);
-            }
-            env.stage(Stage::Migration, mc, now, data_at_mc);
-            data_at_mc
-        }
-        TwoLevelOutcome::Bypass { xpoint_addr } => {
-            // Retired-backed line (or a slot pinned by one): served
-            // straight from the best-effort XPoint path, never filled
-            // into DRAM — a fill would strand the only durable copy
-            // on dead media at eviction time.
-            env.stats.record_service(false);
-            env.xpoint_line_rt(now, mc, xpoint_addr, kind)
-        }
-    }
 }
 
 impl MemoryBackend for TwoLevelBackend {
@@ -607,7 +373,99 @@ impl MemoryBackend for TwoLevelBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        twolevel_service(&mut self.caches[mc], self.caps, env, now, mc, la, kind)
+        let cache = &mut self.caches[mc];
+        let line_bits = env.cfg.line_bytes * 8;
+        let is_write = matches!(kind, MemKind::Write);
+        let span = cache.config().xpoint_bytes;
+        let la = Addr::new(la.get() % span);
+        match cache.access(la, is_write) {
+            TwoLevelOutcome::Hit { dram_addr } => {
+                env.stats.record_service(true);
+                let stall = env
+                    .mc(mc)
+                    .conflicts
+                    .stall_until(dram_addr)
+                    .unwrap_or(Ps::ZERO);
+                env.dram_line_rt(now.max(stall), mc, dram_addr, kind)
+            }
+            TwoLevelOutcome::Miss {
+                dram_addr,
+                xpoint_addr,
+                evict_to,
+            } => {
+                env.stats.record_service(false);
+                env.stats.record_migration();
+                // 1. Tag-check read: the MC always reads the DRAM line (tag
+                //    travels with data in the ECC bits).
+                let tag_read = env.dram_line_rt(now, mc, dram_addr, MemKind::Read);
+                // 2. Fetch the missing line from XPoint (demand-critical:
+                //    the read is booked before the victim's buffered write
+                //    so it is not queued behind a 763 ns drain). With
+                //    reverse write, the XPoint->DRAM fill transfer itself
+                //    delivers the data: the MC's DDR monitor snarfs the
+                //    memory-route burst (Figure 12), so nothing but the
+                //    command uses the data route.
+                let data_at_mc = if self.caps.reverse_write {
+                    let (_, cmd_done) =
+                        env.fabric
+                            .xfer(tag_read, mc, CMD_BITS, TrafficClass::Demand, DEV_XPOINT);
+                    let ready = {
+                        let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
+                        xp.read(cmd_done, xpoint_addr).ready_at
+                    };
+                    env.mc(mc).ddr_monitor.arm(cmd_done, xpoint_addr);
+                    let (fill_start, fill_done) = env.fabric.memory_route(ready, mc, line_bits);
+                    let m = env.mc(mc);
+                    m.ddr_monitor.begin_snarf(fill_start);
+                    m.ddr_monitor.complete(fill_done);
+                    m.dram.access(fill_done, dram_addr, MemKind::Write);
+                    fill_done
+                } else {
+                    env.xpoint_line_rt(tag_read, mc, xpoint_addr, MemKind::Read)
+                };
+                // 3. Dirty victim eviction.
+                if let Some(victim) = evict_to {
+                    if self.caps.auto_rw {
+                        // The XPoint controller snarfed the tag-read burst
+                        // and takes over the eviction (Figure 9b).
+                        let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
+                        xp.snarf_write(tag_read, victim);
+                    } else {
+                        let (_, evict_xfer) = env.fabric.xfer(
+                            tag_read,
+                            mc,
+                            CMD_BITS + line_bits,
+                            TrafficClass::Migration,
+                            DEV_XPOINT,
+                        );
+                        let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
+                        xp.write(evict_xfer, victim);
+                    }
+                }
+                // 4. Fill the DRAM cacheline (reverse write already filled
+                //    it from the snarfed burst above).
+                if !self.caps.reverse_write {
+                    let (_, fill_xfer) = env.fabric.xfer(
+                        data_at_mc,
+                        mc,
+                        CMD_BITS + line_bits,
+                        TrafficClass::Migration,
+                        DEV_DRAM,
+                    );
+                    env.mc(mc).dram.access(fill_xfer, dram_addr, MemKind::Write);
+                }
+                env.stage(Stage::Migration, mc, now, data_at_mc);
+                data_at_mc
+            }
+            TwoLevelOutcome::Bypass { xpoint_addr } => {
+                // Retired-backed line (or a slot pinned by one): served
+                // straight from the best-effort XPoint path, never filled
+                // into DRAM — a fill would strand the only durable copy
+                // on dead media at eviction time.
+                env.stats.record_service(false);
+                env.xpoint_line_rt(now, mc, xpoint_addr, kind)
+            }
+        }
     }
 
     fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
@@ -635,15 +493,5 @@ impl MemoryBackend for TwoLevelBackend {
 
     fn state_bytes(&self) -> usize {
         self.caches.iter().map(|c| c.state_bytes()).sum()
-    }
-
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        let caps = self.caps;
-        Some(
-            split_counts(&mut self.caches, counts)
-                .into_iter()
-                .map(|(caches, base)| BackendShard::TwoLevel { caches, caps, base })
-                .collect(),
-        )
     }
 }

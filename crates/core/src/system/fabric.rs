@@ -79,94 +79,6 @@ pub trait Fabric {
     fn fault_counters(&self) -> FaultCounters {
         FaultCounters::default()
     }
-
-    /// Splits the fabric's per-channel state into disjoint contiguous
-    /// shard views (one per entry in `counts`) for the epoch scheduler's
-    /// parallel phase, or `None` when cross-channel state makes a
-    /// per-channel view unsound — dynamic wavelength division, interval
-    /// logging, or an armed (non-quiescent) fault plan whose single RNG
-    /// stream is drawn per transfer.
-    ///
-    /// Shards mutate channel calendars in place; transferred-bit tallies
-    /// are local to each shard and folded back via
-    /// [`Fabric::merge_shard_bits`] after the shards are dropped.
-    fn split_channels(&mut self, _counts: &[usize]) -> Option<Vec<FabricShard<'_>>> {
-        None
-    }
-
-    /// Folds per-shard `(demand, migration)` bit tallies back into the
-    /// fabric-wide counters. Only meaningful on fabrics that return
-    /// shards from [`Fabric::split_channels`].
-    fn merge_shard_bits(&mut self, _bits: [u64; 2]) {}
-}
-
-/// A per-shard view of a fabric: the transfer entry points restricted to
-/// a contiguous channel range, used by one epoch-scheduler worker.
-///
-/// Only the service-path methods ([`Fabric::xfer`], [`Fabric::memory_route`])
-/// are live; report-time queries are answered by the whole fabric after
-/// the shards are merged back, so they are unreachable here.
-pub enum FabricShard<'a> {
-    /// A group of optical virtual channels.
-    Optical(ohm_optic::VcShard<'a>),
-    /// A group of electrical lanes.
-    Electrical(ohm_optic::LaneShard<'a>),
-}
-
-impl FabricShard<'_> {
-    /// Bits transferred through this shard since the split, as
-    /// `[demand, migration]` — fed back via [`Fabric::merge_shard_bits`].
-    pub fn bits_delta(&self) -> [u64; 2] {
-        match self {
-            FabricShard::Optical(s) => s.bits_delta(),
-            FabricShard::Electrical(s) => s.bits_delta(),
-        }
-    }
-}
-
-impl Fabric for FabricShard<'_> {
-    fn xfer(
-        &mut self,
-        now: Ps,
-        ch: usize,
-        bits: u64,
-        class: TrafficClass,
-        device: usize,
-    ) -> (Ps, Ps) {
-        match self {
-            FabricShard::Optical(s) => s.transfer(now, ch, bits, class, device),
-            FabricShard::Electrical(s) => s.transfer(now, ch, bits, class),
-        }
-    }
-
-    fn memory_route(&mut self, now: Ps, ch: usize, bits: u64) -> (Ps, Ps) {
-        match self {
-            FabricShard::Optical(s) => s.memory_route_transfer(now, ch, bits),
-            FabricShard::Electrical(_) => {
-                unreachable!("electrical platforms never use the memory route")
-            }
-        }
-    }
-
-    fn migration_fraction(&self) -> f64 {
-        unreachable!("report-time query on a shard fabric")
-    }
-
-    fn utilization(&self, _horizon: Ps) -> f64 {
-        unreachable!("report-time query on a shard fabric")
-    }
-
-    fn bits(&self) -> (u64, u64) {
-        unreachable!("report-time query on a shard fabric")
-    }
-
-    fn set_interval_logging(&mut self, _enabled: bool) {
-        unreachable!("observability is incompatible with sharded execution")
-    }
-
-    fn drain_intervals(&mut self) -> Vec<BusyInterval> {
-        Vec::new()
-    }
 }
 
 impl Fabric for OpticalChannel {
@@ -207,19 +119,6 @@ impl Fabric for OpticalChannel {
     fn drain_intervals(&mut self) -> Vec<BusyInterval> {
         OpticalChannel::drain_intervals(self)
     }
-
-    fn split_channels(&mut self, counts: &[usize]) -> Option<Vec<FabricShard<'_>>> {
-        Some(
-            self.split_vcs(counts)?
-                .into_iter()
-                .map(FabricShard::Optical)
-                .collect(),
-        )
-    }
-
-    fn merge_shard_bits(&mut self, bits: [u64; 2]) {
-        OpticalChannel::merge_shard_bits(self, bits);
-    }
 }
 
 impl Fabric for ElectricalChannel {
@@ -259,19 +158,6 @@ impl Fabric for ElectricalChannel {
 
     fn drain_intervals(&mut self) -> Vec<BusyInterval> {
         ElectricalChannel::drain_intervals(self)
-    }
-
-    fn split_channels(&mut self, counts: &[usize]) -> Option<Vec<FabricShard<'_>>> {
-        Some(
-            self.split_lanes(counts)?
-                .into_iter()
-                .map(FabricShard::Electrical)
-                .collect(),
-        )
-    }
-
-    fn merge_shard_bits(&mut self, bits: [u64; 2]) {
-        ElectricalChannel::merge_shard_bits(self, bits);
     }
 }
 
@@ -548,30 +434,6 @@ impl Fabric for ResilientFabric {
 
     fn fault_counters(&self) -> FaultCounters {
         self.counters
-    }
-
-    fn split_channels(&mut self, counts: &[usize]) -> Option<Vec<FabricShard<'_>>> {
-        // A quiescent plan (zero BER, zero MRR rate) is a draw-free exact
-        // pass-through to the optical channel: `roll_mrr_fault` returns
-        // before touching the RNG, no VC is ever marked faulty, and CRC
-        // never rolls. Splitting the inner optical channel is therefore
-        // bit-identical. An armed plan draws from one global RNG stream
-        // per transfer, which has no deterministic per-shard split —
-        // refuse, and the engine falls back to serial execution.
-        if self.ber > 0.0 || self.plan.mrr_fault_ppm > 0 {
-            return None;
-        }
-        Some(
-            self.optical
-                .split_vcs(counts)?
-                .into_iter()
-                .map(FabricShard::Optical)
-                .collect(),
-        )
-    }
-
-    fn merge_shard_bits(&mut self, bits: [u64; 2]) {
-        self.optical.merge_shard_bits(bits);
     }
 }
 

@@ -7,14 +7,7 @@
 //! the DDR sequence generator / DDR monitor engines of the delegated
 //! migration machinery. Capacity-management *policy* lives one layer up,
 //! in a [`MemoryBackend`]; the wiring between the two is a [`MemEnv`],
-//! which also carries the [`Fabric`] and the [`StatsSink`].
-//!
-//! The request paths (`parts_read` / `parts_write` / `parts_service`)
-//! operate on a `MemParts` view rather than the subsystem directly, so
-//! the same code serves two callers: the serial loop borrowing the whole
-//! subsystem, and the epoch scheduler's per-cluster `McShard`s, each
-//! borrowing a contiguous slice of controllers plus the matching fabric
-//! and backend shards (DESIGN.md §3.8).
+//! which also carries the [`Fabric`] and the run's [`RunStats`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,10 +25,10 @@ use crate::metrics::HostReport;
 
 use crate::fault::RecoveryEvent;
 
-use super::backend::{build_backend, BackendShard};
-use super::fabric::{build_fabric, Fabric, FabricShard};
+use super::backend::build_backend;
+use super::fabric::{build_fabric, Fabric};
 use super::stats::{Stage, StageEvent};
-use super::{MemoryBackend, StatsSink};
+use super::{MemoryBackend, RunStats};
 
 /// Command/address bits preceding each data burst on the channel.
 pub(crate) const CMD_BITS: u64 = 64;
@@ -67,39 +60,35 @@ pub struct MemoryController {
 pub(crate) type PendingRelease = (Ps, usize, u64);
 
 /// Everything a backend needs to service one request: the controllers,
-/// the fabric, the stats sink, and a buffer for migration releases.
+/// the fabric, the run's counters, and a buffer for migration releases.
 pub struct MemEnv<'a> {
     /// The system configuration.
     pub cfg: &'a SystemConfig,
-    /// The memory controllers this view owns (global index `mc_base..`);
-    /// index through [`MemEnv::mc`], which rebases.
+    /// Every memory controller, indexed by controller number.
     pub mcs: &'a mut [MemoryController],
-    /// Global index of `mcs[0]` (0 for the whole subsystem; the cluster
-    /// start for an epoch-scheduler shard).
-    pub mc_base: usize,
     /// The channel fabric requests travel over.
     pub fabric: &'a mut dyn Fabric,
-    /// The uniform stats hook.
-    pub stats: &'a mut dyn StatsSink,
+    /// The run's counters.
+    pub stats: &'a mut RunStats,
     /// Migration releases to schedule on the event queue.
     pub(crate) pending: &'a mut Vec<PendingRelease>,
-    /// Whether the sink's per-stage collector is on (sampled once per
+    /// Whether the per-stage collector in `stats` is on (sampled once per
     /// request, so the hot path skips batching entirely when it is off).
     pub(crate) stages_on: bool,
-    /// Stage intervals batched during one request and drained into the
-    /// sink once `service` returns; the buffer's capacity is reused.
+    /// Stage intervals batched during one request and recorded into
+    /// `stats` once `service` returns; the buffer's capacity is reused.
     pub(crate) stage_batch: &'a mut Vec<StageEvent>,
 }
 
 impl MemEnv<'_> {
-    /// The controller at *global* index `mc`, rebased into this view.
+    /// The controller at index `mc`.
     #[inline]
     pub fn mc(&mut self, mc: usize) -> &mut MemoryController {
-        &mut self.mcs[mc - self.mc_base]
+        &mut self.mcs[mc]
     }
 
-    /// Batches one request-path stage interval (drained to the sink after
-    /// the backend returns, preserving per-request recording order).
+    /// Batches one request-path stage interval (recorded into `stats`
+    /// after the backend returns, preserving per-request recording order).
     #[inline]
     pub(crate) fn stage(&mut self, stage: Stage, res: usize, start: Ps, end: Ps) {
         if self.stages_on {
@@ -229,167 +218,6 @@ impl MemEnv<'_> {
     }
 }
 
-/// A borrowed view of the request-path state for a contiguous range of
-/// controllers: the whole subsystem (serial runs, `mc_base == 0`) or one
-/// memory-controller cluster (epoch-scheduler shards). All controller
-/// indices passed to the `parts_*` functions are *global*.
-pub(crate) struct MemParts<'a> {
-    pub(crate) cfg: &'a SystemConfig,
-    pub(crate) mcs: &'a mut [MemoryController],
-    pub(crate) mc_base: usize,
-    /// Per-controller in-flight line fills (MSHR merging). Lines map to
-    /// exactly one controller under the interleaving, so per-controller
-    /// maps partition the old global map exactly.
-    pub(crate) in_flight: &'a mut [FastMap<u64, Ps>],
-    pub(crate) fabric: &'a mut dyn Fabric,
-    pub(crate) backend: &'a mut dyn MemoryBackend,
-    pub(crate) ctrl_div: FastDiv,
-    pub(crate) stage_batch: &'a mut Vec<StageEvent>,
-    pub(crate) recovery_scratch: &'a mut Vec<RecoveryEvent>,
-}
-
-/// Translates a global address to the controller-local address space.
-#[inline]
-pub(crate) fn local_addr(ctrl_div: FastDiv, cfg: &SystemConfig, addr: Addr) -> Addr {
-    let il = cfg.memory.interleave_bytes;
-    let chunk = ctrl_div.div(addr.block_index(il));
-    Addr::from_block(chunk, il).offset(addr.offset_in(il))
-}
-
-/// The controller owning a global address under the interleaving.
-#[inline]
-pub(crate) fn mc_of_addr(ctrl_div: FastDiv, cfg: &SystemConfig, addr: Addr) -> usize {
-    ctrl_div.rem(addr.block_index(cfg.memory.interleave_bytes)) as usize
-}
-
-/// A demand read reaching memory controller `mc`; returns when data is
-/// back at the controller.
-pub(crate) fn parts_read(
-    p: &mut MemParts<'_>,
-    stats: &mut dyn StatsSink,
-    pending: &mut Vec<PendingRelease>,
-    now: Ps,
-    mc: usize,
-    addr: Addr,
-) -> Ps {
-    let cfg = p.cfg;
-    let mi = mc - p.mc_base;
-    let line = addr.block_index(cfg.line_bytes);
-    if let Some(&done) = p.in_flight[mi].get(&line) {
-        if done > now {
-            return done; // MSHR merge with the outstanding fill
-        }
-        p.in_flight[mi].remove(&line);
-    }
-    stats.record_mem_request();
-    // MSHR file: a full set of outstanding misses delays this one
-    // until the earliest in-flight miss completes.
-    let now = {
-        let m = &mut p.mcs[mi];
-        while m
-            .outstanding
-            .peek()
-            .is_some_and(|&Reverse(t)| t <= now.as_ps())
-        {
-            m.outstanding.pop();
-        }
-        if m.outstanding.len() >= cfg.memory.mshr_per_mc {
-            match m.outstanding.pop() {
-                Some(Reverse(t)) => now.max(Ps::from_ps(t)),
-                None => now,
-            }
-        } else {
-            now
-        }
-    };
-    let (_, t0) = p.mcs[mi].ctrl.book(now, cfg.memory.mc_overhead);
-    stats.record_stage(Stage::CtrlQueue, mc, now, t0);
-    let done = parts_service(p, stats, pending, t0, mc, addr, MemKind::Read);
-    p.mcs[mi].outstanding.push(Reverse(done.as_ps()));
-    stats.record_mem_latency(done - now);
-    p.in_flight[mi].insert(line, done);
-    done
-}
-
-/// A write reaching memory controller `mc` (stores, L2 writebacks).
-pub(crate) fn parts_write(
-    p: &mut MemParts<'_>,
-    stats: &mut dyn StatsSink,
-    pending: &mut Vec<PendingRelease>,
-    now: Ps,
-    mc: usize,
-    addr: Addr,
-) {
-    let (_, t0) = p.mcs[mc - p.mc_base]
-        .ctrl
-        .book(now, p.cfg.memory.mc_overhead);
-    stats.record_stage(Stage::CtrlQueue, mc, now, t0);
-    let _ = parts_service(p, stats, pending, t0, mc, addr, MemKind::Write);
-}
-
-/// Platform/mode-dependent service of one line request at one MC,
-/// delegated to the backend. `ga` is the global line address.
-fn parts_service(
-    p: &mut MemParts<'_>,
-    stats: &mut dyn StatsSink,
-    pending: &mut Vec<PendingRelease>,
-    now: Ps,
-    mc: usize,
-    ga: Addr,
-    kind: MemKind,
-) -> Ps {
-    let la = local_addr(p.ctrl_div, p.cfg, ga);
-    let stages_on = stats.stages_enabled();
-    let done = {
-        let mut env = MemEnv {
-            cfg: p.cfg,
-            mcs: p.mcs,
-            mc_base: p.mc_base,
-            fabric: &mut *p.fabric,
-            stats,
-            pending,
-            stages_on,
-            stage_batch: p.stage_batch,
-        };
-        p.backend.service(&mut env, now, mc, ga, la, kind)
-    };
-    // Drain the stage intervals the request batched, in recording
-    // order, before the recovery and lifecycle stages below — the
-    // same per-request order as recording each hop inline.
-    for ev in p.stage_batch.drain(..) {
-        stats.record_stage(ev.stage, ev.res as usize, ev.start, ev.end);
-    }
-    // Surface the fabric's recovery actions (retransmissions,
-    // re-arbitrations, electrical fallbacks) as first-class stages.
-    p.fabric.drain_recovery_into(p.recovery_scratch);
-    for ev in p.recovery_scratch.drain(..) {
-        stats.record_stage(ev.stage, ev.vc, ev.start, ev.end);
-    }
-    // Surface the XPoint controller's lifecycle actions the same way,
-    // and feed permanently lost lines back into the capacity planner
-    // (detect → correct → retire → re-plan). An unarmed or quiescent
-    // lifecycle produces no events, so nothing is recorded.
-    let mut dead_lines = Vec::new();
-    if let Some(xp) = p.mcs[mc - p.mc_base].xpoint.as_mut() {
-        if xp.lifecycle_armed() {
-            for ev in xp.drain_lifecycle_events() {
-                let stage = match ev.kind {
-                    XpLifecycleEventKind::EccCorrect => Stage::EccCorrect,
-                    XpLifecycleEventKind::LineRetire => Stage::LineRetire,
-                    XpLifecycleEventKind::RemapSpare => Stage::RemapSpare,
-                };
-                stats.record_stage(stage, mc, ev.start, ev.end);
-            }
-            dead_lines = xp.drain_dead_notices();
-        }
-    }
-    for line in dead_lines {
-        p.backend
-            .retire_xpoint_line(mc, Addr::from_block(line, p.cfg.line_bytes));
-    }
-    done
-}
-
 /// The assembled memory side of a platform: controllers, fabric, and the
 /// platform/mode-specific [`MemoryBackend`].
 pub(crate) struct MemorySubsystem {
@@ -412,42 +240,6 @@ pub(crate) struct MemorySubsystem {
     pub(crate) xpoint_capacity: u64,
     /// Reciprocal of the controller count for per-access interleave decode.
     ctrl_div: FastDiv,
-}
-
-/// One memory-controller cluster carved out of a [`MemorySubsystem`] for
-/// an epoch-scheduler worker: a contiguous controller range plus the
-/// matching fabric channels and backend state. Calendars and device
-/// state are mutated in place through the borrows, so nothing needs
-/// copying back; only the fabric's bit tallies accumulate shard-locally
-/// (fold with [`FabricShard::bits_delta`] after the shards drop).
-pub(crate) struct McShard<'a> {
-    pub(crate) mcs: &'a mut [MemoryController],
-    pub(crate) in_flight: &'a mut [FastMap<u64, Ps>],
-    pub(crate) backend: BackendShard<'a>,
-    pub(crate) fabric: FabricShard<'a>,
-    pub(crate) mc_base: usize,
-    pub(crate) ctrl_div: FastDiv,
-    /// Shard-local scratch (stages are always off in sharded runs, but
-    /// the request path's signature needs the buffers).
-    pub(crate) stage_batch: Vec<StageEvent>,
-    pub(crate) recovery_scratch: Vec<RecoveryEvent>,
-}
-
-impl McShard<'_> {
-    /// The request-path view over this cluster.
-    pub(crate) fn parts<'b>(&'b mut self, cfg: &'b SystemConfig) -> MemParts<'b> {
-        MemParts {
-            cfg,
-            mcs: self.mcs,
-            mc_base: self.mc_base,
-            in_flight: self.in_flight,
-            fabric: &mut self.fabric,
-            backend: &mut self.backend,
-            ctrl_div: self.ctrl_div,
-            stage_batch: &mut self.stage_batch,
-            recovery_scratch: &mut self.recovery_scratch,
-        }
-    }
 }
 
 impl MemorySubsystem {
@@ -559,36 +351,11 @@ impl MemorySubsystem {
         }
     }
 
-    /// The interleave-decode reciprocal (shared with the epoch scheduler,
-    /// which routes addresses to shards without borrowing the subsystem).
-    pub(crate) fn ctrl_div(&self) -> FastDiv {
-        self.ctrl_div
-    }
-
     /// The controller owning a global address under the interleaving.
+    #[inline]
     pub(crate) fn mc_of(&self, cfg: &SystemConfig, addr: Addr) -> usize {
-        mc_of_addr(self.ctrl_div, cfg, addr)
-    }
-
-    /// The whole-subsystem request-path view (serial runs).
-    fn parts<'b>(
-        &'b mut self,
-        cfg: &'b SystemConfig,
-    ) -> (MemParts<'b>, &'b mut Vec<PendingRelease>) {
-        (
-            MemParts {
-                cfg,
-                mcs: &mut self.mcs,
-                mc_base: 0,
-                in_flight: &mut self.in_flight,
-                fabric: self.fabric.as_mut(),
-                backend: self.backend.as_mut(),
-                ctrl_div: self.ctrl_div,
-                stage_batch: &mut self.stage_batch,
-                recovery_scratch: &mut self.recovery_scratch,
-            },
-            &mut self.pending,
-        )
+        self.ctrl_div
+            .rem(addr.block_index(cfg.memory.interleave_bytes)) as usize
     }
 
     /// A demand read reaching memory controller `mc`; returns when data
@@ -596,62 +363,126 @@ impl MemorySubsystem {
     pub(crate) fn read(
         &mut self,
         cfg: &SystemConfig,
-        stats: &mut dyn StatsSink,
+        stats: &mut RunStats,
         now: Ps,
         mc: usize,
         addr: Addr,
     ) -> Ps {
-        let (mut parts, pending) = self.parts(cfg);
-        parts_read(&mut parts, stats, pending, now, mc, addr)
+        let line = addr.block_index(cfg.line_bytes);
+        if let Some(&done) = self.in_flight[mc].get(&line) {
+            if done > now {
+                return done; // MSHR merge with the outstanding fill
+            }
+            self.in_flight[mc].remove(&line);
+        }
+        stats.record_mem_request();
+        // MSHR file: a full set of outstanding misses delays this one
+        // until the earliest in-flight miss completes.
+        let now = {
+            let m = &mut self.mcs[mc];
+            while m
+                .outstanding
+                .peek()
+                .is_some_and(|&Reverse(t)| t <= now.as_ps())
+            {
+                m.outstanding.pop();
+            }
+            if m.outstanding.len() >= cfg.memory.mshr_per_mc {
+                match m.outstanding.pop() {
+                    Some(Reverse(t)) => now.max(Ps::from_ps(t)),
+                    None => now,
+                }
+            } else {
+                now
+            }
+        };
+        let (_, t0) = self.mcs[mc].ctrl.book(now, cfg.memory.mc_overhead);
+        stats.record_stage(Stage::CtrlQueue, mc, now, t0);
+        let done = self.service(cfg, stats, t0, mc, addr, MemKind::Read);
+        self.mcs[mc].outstanding.push(Reverse(done.as_ps()));
+        stats.record_mem_latency(done - now);
+        self.in_flight[mc].insert(line, done);
+        done
     }
 
     /// A write reaching memory controller `mc` (stores, L2 writebacks).
     pub(crate) fn write(
         &mut self,
         cfg: &SystemConfig,
-        stats: &mut dyn StatsSink,
+        stats: &mut RunStats,
         now: Ps,
         mc: usize,
         addr: Addr,
     ) {
-        let (mut parts, pending) = self.parts(cfg);
-        parts_write(&mut parts, stats, pending, now, mc, addr);
+        let (_, t0) = self.mcs[mc].ctrl.book(now, cfg.memory.mc_overhead);
+        stats.record_stage(Stage::CtrlQueue, mc, now, t0);
+        let _ = self.service(cfg, stats, t0, mc, addr, MemKind::Write);
     }
 
-    /// Splits the subsystem into per-cluster shards, one per entry of
-    /// `counts` (controller counts, contiguous, summing to the controller
-    /// total). Returns `None` when any layer cannot shard — a backend
-    /// with cross-controller state (Origin's host staging), a fabric with
-    /// armed stochastic faults or interval logging, or a dynamically
-    /// divided optical channel — in which case the caller falls back to
-    /// the serial loop.
-    pub(crate) fn split_shards(&mut self, counts: &[usize]) -> Option<Vec<McShard<'_>>> {
-        debug_assert_eq!(counts.iter().sum::<usize>(), self.mcs.len());
-        let ctrl_div = self.ctrl_div;
-        let backends = self.backend.split_mc(counts)?;
-        let fabrics = self.fabric.split_channels(counts)?;
-        let mut shards = Vec::with_capacity(counts.len());
-        let mut mcs: &mut [MemoryController] = &mut self.mcs;
-        let mut infl: &mut [FastMap<u64, Ps>] = &mut self.in_flight;
-        let mut base = 0;
-        for ((&n, backend), fabric) in counts.iter().zip(backends).zip(fabrics) {
-            let (mh, mt) = mcs.split_at_mut(n);
-            mcs = mt;
-            let (ih, it) = infl.split_at_mut(n);
-            infl = it;
-            shards.push(McShard {
-                mcs: mh,
-                in_flight: ih,
-                backend,
-                fabric,
-                mc_base: base,
-                ctrl_div,
-                stage_batch: Vec::new(),
-                recovery_scratch: Vec::new(),
-            });
-            base += n;
+    /// Platform/mode-dependent service of one line request at one MC,
+    /// delegated to the backend. `ga` is the global line address.
+    fn service(
+        &mut self,
+        cfg: &SystemConfig,
+        stats: &mut RunStats,
+        now: Ps,
+        mc: usize,
+        ga: Addr,
+        kind: MemKind,
+    ) -> Ps {
+        // The controller-local address: the interleave chunk index
+        // divided down by the controller count, same offset within it.
+        let il = cfg.memory.interleave_bytes;
+        let la =
+            Addr::from_block(self.ctrl_div.div(ga.block_index(il)), il).offset(ga.offset_in(il));
+        let stages_on = stats.stages_enabled();
+        let done = {
+            let mut env = MemEnv {
+                cfg,
+                mcs: &mut self.mcs,
+                fabric: self.fabric.as_mut(),
+                stats,
+                pending: &mut self.pending,
+                stages_on,
+                stage_batch: &mut self.stage_batch,
+            };
+            self.backend.service(&mut env, now, mc, ga, la, kind)
+        };
+        // Drain the stage intervals the request batched, in recording
+        // order, before the recovery and lifecycle stages below — the
+        // same per-request order as recording each hop inline.
+        for ev in self.stage_batch.drain(..) {
+            stats.record_stage(ev.stage, ev.res as usize, ev.start, ev.end);
         }
-        Some(shards)
+        // Surface the fabric's recovery actions (retransmissions,
+        // re-arbitrations, electrical fallbacks) as first-class stages.
+        self.fabric.drain_recovery_into(&mut self.recovery_scratch);
+        for ev in self.recovery_scratch.drain(..) {
+            stats.record_stage(ev.stage, ev.vc, ev.start, ev.end);
+        }
+        // Surface the XPoint controller's lifecycle actions the same way,
+        // and feed permanently lost lines back into the capacity planner
+        // (detect → correct → retire → re-plan). An unarmed or quiescent
+        // lifecycle produces no events, so nothing is recorded.
+        let mut dead_lines = Vec::new();
+        if let Some(xp) = self.mcs[mc].xpoint.as_mut() {
+            if xp.lifecycle_armed() {
+                for ev in xp.drain_lifecycle_events() {
+                    let stage = match ev.kind {
+                        XpLifecycleEventKind::EccCorrect => Stage::EccCorrect,
+                        XpLifecycleEventKind::LineRetire => Stage::LineRetire,
+                        XpLifecycleEventKind::RemapSpare => Stage::RemapSpare,
+                    };
+                    stats.record_stage(stage, mc, ev.start, ev.end);
+                }
+                dead_lines = xp.drain_dead_notices();
+            }
+        }
+        for line in dead_lines {
+            self.backend
+                .retire_xpoint_line(mc, Addr::from_block(line, cfg.line_bytes));
+        }
+        done
     }
 
     /// A delegated migration released its pages.

@@ -24,11 +24,10 @@
 //! - [`backend`] — a [`MemoryBackend`] per platform: *where* a request
 //!   is served and what migration machinery runs as a side effect.
 //!
-//! Every layer reports through one [`StatsSink`], so counters are
-//! collected uniformly instead of scattered over ad-hoc fields.
+//! Every layer records into one [`RunStats`], so counters are collected
+//! uniformly instead of scattered over ad-hoc fields.
 
 pub mod backend;
-mod epoch;
 pub mod fabric;
 pub mod memory;
 mod origin;
@@ -38,7 +37,7 @@ mod warp;
 
 pub use backend::MemoryBackend;
 pub use fabric::Fabric;
-pub use stats::{RunStats, Stage, StatsSink};
+pub use stats::{RunStats, Stage};
 
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
@@ -86,13 +85,6 @@ pub struct System {
     stats: RunStats,
     /// Reusable buffer for migration releases drained per warp step.
     pending_scratch: Vec<memory::PendingRelease>,
-    /// Worker threads for this cell's event loop (1 = serial). See
-    /// [`System::set_cell_threads`].
-    cell_threads: usize,
-    /// Whether the last [`System::run`] actually engaged the sharded
-    /// scheduler (it falls back to serial when the configuration cannot
-    /// be partitioned).
-    used_parallel: bool,
 }
 
 /// The instruction stream a configuration's own run uses: the spec's
@@ -119,17 +111,6 @@ pub(crate) fn base_stream(cfg: &SystemConfig, spec: &WorkloadSpec) -> Box<dyn In
             cfg.seed,
         )),
     }
-}
-
-/// The process-wide default for [`System::set_cell_threads`], read once
-/// from `OHM_CELL_THREADS` (a number, or `max` for all cores).
-pub(crate) fn default_cell_threads() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("OHM_CELL_THREADS") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("max") => crate::par::default_threads(),
-        Ok(v) => v.trim().parse().unwrap_or(1).max(1),
-        Err(_) => 1,
-    })
 }
 
 impl std::fmt::Debug for System {
@@ -167,12 +148,10 @@ impl System {
     /// Streams with a non-empty
     /// [`phase_names`](InstructionStream::phase_names) vocabulary arm
     /// per-phase accounting: the report gains a
-    /// [`crate::metrics::PhaseSummary`] and the run executes on the
-    /// serial loop (like observability, phase attribution needs the
-    /// serial event order). Note a replayed trace is *unphased* — the v1
-    /// format does not carry phase identity — so a replay of a phased
-    /// run reproduces its timing bit-identically but reports
-    /// `phases: None`.
+    /// [`crate::metrics::PhaseSummary`]. Note a replayed trace is
+    /// *unphased* — the v1 format does not carry phase identity — so a
+    /// replay of a phased run reproduces its timing bit-identically but
+    /// reports `phases: None`.
     pub fn with_stream(
         cfg: &SystemConfig,
         platform: Platform,
@@ -204,30 +183,7 @@ impl System {
             stats,
             cfg: cfg.clone(),
             pending_scratch: Vec::new(),
-            cell_threads: default_cell_threads(),
-            used_parallel: false,
         }
-    }
-
-    /// Requests `n` worker threads for this cell's event loop
-    /// (DESIGN.md §3.8). With `n >= 2` the run shards the memory
-    /// controllers across workers and commits events in lookahead
-    /// epochs; the report is bit-identical to the serial loop at every
-    /// thread count. Configurations the
-    /// partitioner cannot split (observability, armed fault injection,
-    /// dynamic channel division, the Origin host model) fall back to the
-    /// serial loop. Grid drivers should budget with
-    /// [`crate::par::budget_cell_threads`] so grid × cell workers never
-    /// oversubscribe the machine.
-    pub fn set_cell_threads(&mut self, n: usize) {
-        self.cell_threads = n.max(1);
-    }
-
-    /// Whether the last [`System::run`] engaged the sharded scheduler.
-    /// Test/diagnostic hook, not a stable API.
-    #[doc(hidden)]
-    pub fn used_cell_parallelism(&self) -> bool {
-        self.used_parallel
     }
 
     /// Turns on the observability layer for this run: per-stage latency
@@ -265,62 +221,13 @@ impl System {
     /// Runs the kernel to completion and reports.
     pub fn run(&mut self) -> SimReport {
         self.engine.seed();
-        self.used_parallel = self.try_run_sharded();
-        if !self.used_parallel {
-            while let Some((t, ev)) = self.engine.queue.pop() {
-                match ev {
-                    Event::Resume(w) => self.step_warp(t, w),
-                    Event::MigrationDone { mc, id } => self.mem.complete_migration(mc, id),
-                }
+        while let Some((t, ev)) = self.engine.queue.pop() {
+            match ev {
+                Event::Resume(w) => self.step_warp(t, w),
+                Event::MigrationDone { mc, id } => self.mem.complete_migration(mc, id),
             }
         }
         self.report()
-    }
-
-    /// Attempts to drain the (already seeded) event queue with the
-    /// sharded epoch scheduler (DESIGN.md §3.8). Returns `false` —
-    /// leaving the queue untouched — when the request or configuration
-    /// cannot be partitioned, in which case the caller runs serially.
-    fn try_run_sharded(&mut self) -> bool {
-        let controllers = self.cfg.memory.controllers;
-        // One port per controller is what makes a contiguous controller
-        // partition also partition the crossbar's destination ports.
-        if self.cell_threads < 2
-            || controllers < 2
-            || self.stats.obs.is_some()
-            || self.stats.phases.is_some()
-            || self.cfg.gpu.xbar.ports != controllers
-        {
-            return false;
-        }
-        let nsh = self.cell_threads.min(controllers);
-        let counts = epoch::balanced_counts(controllers, nsh);
-        // The lookahead floor: the L1 lookup, crossbar command leg, and
-        // L2 lookup every event crosses before its first controller-side
-        // effect. Deferred work therefore lands at least this far after
-        // its event's pop time.
-        let floor = self.cfg.gpu.l1_hit_latency
-            + self.xbar.min_latency(CMD_BITS / 8)
-            + self.cfg.gpu.l2_hit_latency;
-        let ctrl_div = self.mem.ctrl_div();
-        let Some(shards) = self.mem.split_shards(&counts) else {
-            return false;
-        };
-        let ports = self.xbar.split_ports(&counts);
-        let (bits, msgs) = epoch::run_sharded(
-            &self.cfg,
-            &mut self.engine,
-            &mut self.l1s,
-            &mut self.l2,
-            &mut self.stats,
-            ctrl_div,
-            shards,
-            ports,
-            floor,
-        );
-        self.mem.fabric.merge_shard_bits(bits);
-        self.xbar.add_messages(msgs);
-        true
     }
 
     fn step_warp(&mut self, now: Ps, w: WarpId) {

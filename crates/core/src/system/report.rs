@@ -130,7 +130,7 @@ impl System {
         });
 
         // Per-phase breakdown: join the engine's issue tallies (insts,
-        // spans) with the stats sink's attributed memory counters.
+        // spans) with the run stats' attributed memory counters.
         let phases = self.stats.phases.as_ref().map(|ph| {
             let track = self
                 .engine

@@ -1,10 +1,9 @@
-//! The stats layer: one sink collects per-layer counters uniformly.
+//! The stats layer: one collector gathers per-layer counters uniformly.
 //!
 //! Every layer of the decomposed system (warp engine, cache glue, memory
-//! controllers, backends, fabric round-trips) reports through the
-//! [`StatsSink`] trait instead of poking ad-hoc fields on the monolith.
-//! [`RunStats`] is the concrete collector a [`System`](super::System)
-//! owns; the report reads it back out.
+//! controllers, backends, fabric round-trips) records into the run's
+//! [`RunStats`] instead of poking ad-hoc fields on the monolith. The
+//! [`System`](super::System) owns it; the report reads it back out.
 
 use ohm_optic::BusyInterval;
 use ohm_sim::{Histogram, Ps, RunningStats};
@@ -228,7 +227,7 @@ impl Observability {
 /// phase-structured runs (see
 /// [`System::with_stream`](super::System::with_stream)).
 ///
-/// The sink carries a *current phase* context, set by the system each
+/// The collector carries a *current phase* context, set by the system each
 /// time a warp issues a slice; every record between two context switches
 /// is attributed to that phase. Work a phase *triggers* that completes
 /// later (migration completions, background writebacks) is attributed to
@@ -273,35 +272,11 @@ impl PhaseStats {
     }
 }
 
-/// The uniform hook the system's layers record measurements through.
+/// The per-run collector every layer records measurements into: the
+/// counters [`SimReport`](crate::SimReport) reads, plus the opt-in stage
+/// and phase collectors.
 ///
-/// Methods are fire-and-forget; implementations must not affect timing.
-pub trait StatsSink {
-    /// A demand read reached a memory controller.
-    fn record_mem_request(&mut self);
-    /// End-to-end latency of one demand read (MC arrival to data at MC).
-    fn record_mem_latency(&mut self, latency: Ps);
-    /// A controller started a page/line migration.
-    fn record_migration(&mut self);
-    /// A controller serviced a request; `dram` says whether the DRAM
-    /// side satisfied it (residency/cache hit).
-    fn record_service(&mut self, dram: bool);
-    /// One request-path stage interval on resource `res` (the SM index
-    /// for [`Stage::L1Hit`], the controller index otherwise). The default
-    /// ignores it, so sinks without an observability collector pay
-    /// nothing.
-    fn record_stage(&mut self, _stage: Stage, _res: usize, _start: Ps, _end: Ps) {}
-    /// Whether [`StatsSink::record_stage`] currently records anything.
-    /// Layers that batch stage intervals consult this once per request
-    /// and skip collection entirely when it is `false`.
-    fn stages_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// The concrete per-run collector behind [`StatsSink`]: the counters
-/// [`SimReport`](crate::SimReport) reads, plus the opt-in stage and phase
-/// collectors.
+/// Recording is fire-and-forget and never affects timing.
 #[derive(Debug, Default)]
 pub struct RunStats {
     /// Mean memory access latency accumulator.
@@ -349,28 +324,31 @@ impl RunStats {
             ph.slice_latency[ph.cur].push_ps(latency);
         }
     }
-}
 
-impl StatsSink for RunStats {
-    fn record_mem_request(&mut self) {
+    /// A demand read reached a memory controller.
+    pub(crate) fn record_mem_request(&mut self) {
         self.mem_requests += 1;
         if let Some(ph) = self.phases.as_mut() {
             ph.mem_requests[ph.cur] += 1;
         }
     }
 
-    fn record_mem_latency(&mut self, latency: Ps) {
+    /// End-to-end latency of one demand read (MC arrival to data at MC).
+    pub(crate) fn record_mem_latency(&mut self, latency: Ps) {
         self.mem_latency.push_ps(latency);
         if let Some(ph) = self.phases.as_mut() {
             ph.mem_latency[ph.cur].push_ps(latency);
         }
     }
 
-    fn record_migration(&mut self) {
+    /// A controller started a page/line migration.
+    pub(crate) fn record_migration(&mut self) {
         self.migrations += 1;
     }
 
-    fn record_service(&mut self, dram: bool) {
+    /// A controller serviced a request; `dram` says whether the DRAM
+    /// side satisfied it (residency/cache hit).
+    pub(crate) fn record_service(&mut self, dram: bool) {
         self.service_total += 1;
         self.dram_service_hits += u64::from(dram);
         if let Some(ph) = self.phases.as_mut() {
@@ -379,7 +357,10 @@ impl StatsSink for RunStats {
         }
     }
 
-    fn record_stage(&mut self, stage: Stage, res: usize, start: Ps, end: Ps) {
+    /// One request-path stage interval on resource `res` (the SM index
+    /// for [`Stage::L1Hit`], the controller index otherwise). Records
+    /// nothing unless the stage or phase collector is on.
+    pub(crate) fn record_stage(&mut self, stage: Stage, res: usize, start: Ps, end: Ps) {
         if let Some(obs) = self.obs.as_mut() {
             obs.record(stage, res, start, end);
         }
@@ -389,7 +370,10 @@ impl StatsSink for RunStats {
         }
     }
 
-    fn stages_enabled(&self) -> bool {
+    /// Whether [`RunStats::record_stage`] currently records anything.
+    /// Layers that batch stage intervals consult this once per request
+    /// and skip collection entirely when it is `false`.
+    pub(crate) fn stages_enabled(&self) -> bool {
         self.obs.is_some() || self.phases.is_some()
     }
 }

@@ -6,7 +6,7 @@
 //! slice is reported back to the [`System`](super::System) as a
 //! [`SliceOutcome`] for the cache/memory glue to finish.
 
-use ohm_sim::{EpochQueue, Ps};
+use ohm_sim::{EventQueue, Ps};
 use ohm_sm::{AccessKind, InstructionStream, Sm, SmConfig, WarpId, WarpState};
 
 #[derive(Debug, Clone, Copy)]
@@ -62,13 +62,11 @@ impl PhaseTrack {
 
 /// The event loop and warp scheduler.
 ///
-/// The queue is an [`EpochQueue`]: under the serial loop its
-/// `(time, entry, slot)` keys reproduce the old `(time, seq)` FIFO order
-/// exactly (each pop's pushes get consecutive slots), and the epoch
-/// scheduler uses the same keys to commit deferred cross-shard pushes in
-/// serial order (DESIGN.md §3.8).
+/// Events at equal timestamps pop in push order ([`EventQueue`]'s FIFO
+/// tie-break), so the system pushes a step's migration notices before
+/// the warp's resume.
 pub(crate) struct WarpEngine {
-    pub(crate) queue: EpochQueue<Event>,
+    pub(crate) queue: EventQueue<Event>,
     stream: Box<dyn InstructionStream>,
     pub(crate) sms: Vec<Sm>,
     /// When the last warp retired its final instruction (the kernel's
@@ -82,7 +80,7 @@ impl WarpEngine {
     pub(crate) fn new(sms: usize, sm_cfg: SmConfig, stream: Box<dyn InstructionStream>) -> Self {
         let names = stream.phase_names();
         WarpEngine {
-            queue: EpochQueue::with_capacity(sms * sm_cfg.warps),
+            queue: EventQueue::with_capacity(sms * sm_cfg.warps),
             stream,
             sms: (0..sms).map(|_| Sm::new(sm_cfg)).collect(),
             kernel_end: Ps::ZERO,
@@ -142,12 +140,9 @@ impl WarpEngine {
         }
     }
 
-    /// Schedules warp `w` to resume at `at`. A popped event resumes at
-    /// most one warp, so the resume takes the entry's *final* slot —
-    /// sorting after any migration notices it pushed at the same time,
-    /// exactly like the old push-order sequence numbers.
+    /// Schedules warp `w` to resume at `at`.
     pub(crate) fn resume(&mut self, at: Ps, w: WarpId) {
-        self.queue.push_final(at, Event::Resume(w));
+        self.queue.push(at, Event::Resume(w));
     }
 
     /// Schedules a migration-completion notice.

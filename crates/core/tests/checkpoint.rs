@@ -113,7 +113,6 @@ fn resume_ignores_harness_knobs_but_not_config() {
     // outside the cell key and the journal still hits.
     let resumed = GridRun::new()
         .threads(2)
-        .cell_threads(2)
         .profile(true)
         .checkpoint(&path)
         .run(&cfg, &platforms, OperationalMode::Planar, &specs);

@@ -179,46 +179,6 @@ impl VirtualChannel {
     }
 }
 
-/// The single-VC core of a data-route transfer: demux retune, WOM
-/// stretch, booking and bit accounting. Shared between
-/// [`OpticalChannel::transfer`] and [`VcShard::transfer`] so the two
-/// paths cannot drift — bit-identical behaviour of the sharded engine
-/// depends on it.
-#[allow(clippy::too_many_arguments)]
-fn transfer_on_vc(
-    cfg: &OpticalChannelConfig,
-    ch: &mut VirtualChannel,
-    bits_transferred: &mut [u64; 2],
-    now: Ps,
-    borrow_penalty: Ps,
-    bits: u64,
-    base: Ps,
-    class: TrafficClass,
-    target_device: usize,
-) -> (Ps, Ps) {
-    // Retargeting the photonic demux costs an MRR retune, but the
-    // retune pipelines behind any queued transfers ([Li et al.]), so
-    // it only delays the transfer when the data route is idle.
-    let mut ready = now + borrow_penalty;
-    if ch.current_target != Some(target_device) {
-        if ch.data_route.next_free() <= now {
-            ready += cfg.demux_switch;
-        }
-        ch.current_target = Some(target_device);
-        ch.target_switches += 1;
-    }
-
-    let start_estimate = ch.data_route.earliest_start(ready);
-    let dur =
-        if cfg.dual_route == DualRouteMode::Wom && ch.memory_route.next_free() > start_estimate {
-            base.scale(1.0 / Wom22::BANDWIDTH_FACTOR)
-        } else {
-            base
-        };
-    bits_transferred[class as usize] += bits;
-    ch.data_route.book(ready, dur, class as usize)
-}
-
 /// The optical channel: per-VC data routes, optional memory routes, demux
 /// arbitration and traffic accounting.
 ///
@@ -301,8 +261,6 @@ impl OpticalChannel {
         target_device: usize,
     ) -> (Ps, Ps) {
         assert!(bits > 0, "cannot transfer zero bits");
-        let width = self.cfg.vc_width_bits();
-        let base = self.cfg.freq.transfer_time(bits, width);
 
         // Dynamic division: borrow whichever VC frees up first, paying a
         // wavelength-regrouping retune away from home.
@@ -316,7 +274,7 @@ impl OpticalChannel {
                 // valid when borrowing actually costs something; at zero
                 // reallocation ties break toward the lowest index.
                 if reallocation > Ps::ZERO && self.vcs[vc].data_route.next_free() <= now {
-                    return self.transfer_on(now, vc, Ps::ZERO, bits, base, class, target_device);
+                    return self.transfer_on(now, vc, Ps::ZERO, bits, class, target_device);
                 }
                 let best = (0..self.vcs.len())
                     .min_by_key(|&i| {
@@ -332,33 +290,46 @@ impl OpticalChannel {
                 }
             }
         };
-        self.transfer_on(now, vc, borrow_penalty, bits, base, class, target_device)
+        self.transfer_on(now, vc, borrow_penalty, bits, class, target_device)
     }
 
     /// The committed leg of [`OpticalChannel::transfer`], after VC
-    /// arbitration has chosen `vc` and its `borrow_penalty`.
-    #[allow(clippy::too_many_arguments)]
+    /// arbitration has chosen `vc` and its `borrow_penalty`: demux
+    /// retune, WOM stretch, booking and bit accounting.
     fn transfer_on(
         &mut self,
         now: Ps,
         vc: usize,
         borrow_penalty: Ps,
         bits: u64,
-        base: Ps,
         class: TrafficClass,
         target_device: usize,
     ) -> (Ps, Ps) {
-        let (start, end) = transfer_on_vc(
-            &self.cfg,
-            &mut self.vcs[vc],
-            &mut self.bits_transferred,
-            now,
-            borrow_penalty,
-            bits,
-            base,
-            class,
-            target_device,
-        );
+        let cfg = &self.cfg;
+        let ch = &mut self.vcs[vc];
+        // Retargeting the photonic demux costs an MRR retune, but the
+        // retune pipelines behind any queued transfers ([Li et al.]), so
+        // it only delays the transfer when the data route is idle.
+        let mut ready = now + borrow_penalty;
+        if ch.current_target != Some(target_device) {
+            if ch.data_route.next_free() <= now {
+                ready += cfg.demux_switch;
+            }
+            ch.current_target = Some(target_device);
+            ch.target_switches += 1;
+        }
+
+        let base = cfg.freq.transfer_time(bits, cfg.vc_width_bits());
+        let start_estimate = ch.data_route.earliest_start(ready);
+        let dur = if cfg.dual_route == DualRouteMode::Wom
+            && ch.memory_route.next_free() > start_estimate
+        {
+            base.scale(1.0 / Wom22::BANDWIDTH_FACTOR)
+        } else {
+            base
+        };
+        self.bits_transferred[class as usize] += bits;
+        let (start, end) = ch.data_route.book(ready, dur, class as usize);
         if let Some(log) = self.interval_log.as_mut() {
             log.push(BusyInterval {
                 vc,
@@ -501,111 +472,6 @@ impl OpticalChannel {
             .map(|c| c.data_route.utilization(horizon))
             .sum::<f64>()
             / self.vcs.len() as f64
-    }
-
-    /// Splits the virtual channels into disjoint contiguous groups, one
-    /// per entry in `counts`, for per-shard workers. Returns `None` when
-    /// the channel has cross-VC behaviour that a per-VC view cannot
-    /// reproduce: dynamic wavelength division (transfers scan every VC
-    /// for a borrow) or interval logging (one ordered log).
-    ///
-    /// Shards mutate their VCs' calendars in place — those effects are
-    /// visible once the borrows end — but tally transferred bits locally;
-    /// the caller folds the tallies back with
-    /// [`OpticalChannel::merge_shard_bits`].
-    pub fn split_vcs(&mut self, counts: &[usize]) -> Option<Vec<VcShard<'_>>> {
-        if !matches!(self.cfg.division, ChannelDivision::Static) || self.interval_log.is_some() {
-            return None;
-        }
-        assert_eq!(
-            counts.iter().sum::<usize>(),
-            self.vcs.len(),
-            "shard counts must cover every virtual channel"
-        );
-        let cfg = self.cfg;
-        let mut shards = Vec::with_capacity(counts.len());
-        let mut rest: &mut [VirtualChannel] = &mut self.vcs;
-        let mut base = 0;
-        for &n in counts {
-            let (head, tail) = rest.split_at_mut(n);
-            shards.push(VcShard {
-                cfg,
-                vcs: head,
-                base,
-                bits_transferred: [0; 2],
-            });
-            rest = tail;
-            base += n;
-        }
-        Some(shards)
-    }
-
-    /// Folds bit tallies accumulated by [`VcShard`]s back into the
-    /// channel-wide counters after a parallel phase.
-    pub fn merge_shard_bits(&mut self, bits: [u64; 2]) {
-        self.bits_transferred[0] += bits[0];
-        self.bits_transferred[1] += bits[1];
-    }
-}
-
-/// A contiguous group of virtual channels owned by one shard worker.
-///
-/// Exposes the transfer entry points restricted to the owned VCs, with
-/// behaviour identical to the whole channel under static division (the
-/// only division that splits). VC indices stay *global*.
-#[derive(Debug)]
-pub struct VcShard<'a> {
-    cfg: OpticalChannelConfig,
-    vcs: &'a mut [VirtualChannel],
-    base: usize,
-    bits_transferred: [u64; 2],
-}
-
-impl VcShard<'_> {
-    /// Per-VC equivalent of [`OpticalChannel::transfer`]. `vc` must fall
-    /// inside this shard's range.
-    pub fn transfer(
-        &mut self,
-        now: Ps,
-        vc: usize,
-        bits: u64,
-        class: TrafficClass,
-        target_device: usize,
-    ) -> (Ps, Ps) {
-        assert!(bits > 0, "cannot transfer zero bits");
-        let base = self.cfg.freq.transfer_time(bits, self.cfg.vc_width_bits());
-        transfer_on_vc(
-            &self.cfg,
-            &mut self.vcs[vc - self.base],
-            &mut self.bits_transferred,
-            now,
-            Ps::ZERO,
-            bits,
-            base,
-            class,
-            target_device,
-        )
-    }
-
-    /// Per-VC equivalent of [`OpticalChannel::memory_route_transfer`].
-    pub fn memory_route_transfer(&mut self, now: Ps, vc: usize, bits: u64) -> (Ps, Ps) {
-        assert!(
-            self.cfg.dual_route.has_memory_route(),
-            "memory route requires dual-route support"
-        );
-        assert!(bits > 0, "cannot transfer zero bits");
-        let width = self.cfg.vc_width_bits();
-        let dur = self.cfg.freq.transfer_time(bits, width);
-        self.bits_transferred[TrafficClass::Migration as usize] += bits;
-        self.vcs[vc - self.base]
-            .memory_route
-            .book(now, dur, TrafficClass::Migration as usize)
-    }
-
-    /// Bits transferred through this shard since the split, by class —
-    /// fed back via [`OpticalChannel::merge_shard_bits`].
-    pub fn bits_delta(&self) -> [u64; 2] {
-        self.bits_transferred
     }
 }
 
@@ -855,81 +721,6 @@ mod tests {
         assert_eq!(ch.healthiest_vc(Ps::ZERO), None);
         // Windows expire: after the window everything is healthy again.
         assert_eq!(ch.healthiest_vc(Ps::from_us(1)), Some(0));
-    }
-
-    #[test]
-    fn vc_shards_match_whole_channel_transfers() {
-        for mode in [
-            DualRouteMode::Serialized,
-            DualRouteMode::Wom,
-            DualRouteMode::HalfCoupled,
-        ] {
-            let mut whole = chan(mode);
-            let mut split = chan(mode);
-            // Same transfer sequence through both; the shard view must
-            // book identical windows and tally identical bits.
-            let script: &[(u64, usize, u64, TrafficClass, usize, bool)] = &[
-                (0, 0, 256, TrafficClass::Demand, 0, false),
-                (100, 0, 512, TrafficClass::Demand, 1, false),
-                (0, 3, 1 << 14, TrafficClass::Migration, 0, false),
-                (50, 3, 256, TrafficClass::Demand, 2, false),
-                (0, 4, 4096, TrafficClass::Demand, 0, false),
-                (0, 0, 2048, TrafficClass::Migration, 0, true),
-                (10, 5, 256, TrafficClass::Demand, 1, false),
-            ];
-            let mut deltas = [0u64; 2];
-            {
-                let mut shards = split.split_vcs(&[3, 3]).expect("static splits");
-                for &(t, vc, bits, class, dev, mem_route) in script {
-                    let shard = &mut shards[vc / 3];
-                    let got = if mem_route {
-                        if !mode.has_memory_route() {
-                            continue;
-                        }
-                        shard.memory_route_transfer(Ps::from_ps(t), vc, bits)
-                    } else {
-                        shard.transfer(Ps::from_ps(t), vc, bits, class, dev)
-                    };
-                    let want = if mem_route {
-                        whole.memory_route_transfer(Ps::from_ps(t), vc, bits)
-                    } else {
-                        whole.transfer(Ps::from_ps(t), vc, bits, class, dev)
-                    };
-                    assert_eq!(got, want, "mode {mode:?} diverged");
-                }
-                for s in &shards {
-                    let d = s.bits_delta();
-                    deltas[0] += d[0];
-                    deltas[1] += d[1];
-                }
-            }
-            split.merge_shard_bits(deltas);
-            assert_eq!(
-                split.bits_by_class(TrafficClass::Demand),
-                whole.bits_by_class(TrafficClass::Demand)
-            );
-            assert_eq!(
-                split.bits_by_class(TrafficClass::Migration),
-                whole.bits_by_class(TrafficClass::Migration)
-            );
-            assert_eq!(split.target_switches(), whole.target_switches());
-            assert_eq!(split.data_route_busy(), whole.data_route_busy());
-            assert_eq!(split.memory_route_busy(), whole.memory_route_busy());
-        }
-    }
-
-    #[test]
-    fn dynamic_division_refuses_to_split() {
-        let mut ch = OpticalChannel::new(OpticalChannelConfig {
-            division: ChannelDivision::Dynamic {
-                reallocation: Ps::from_ps(500),
-            },
-            ..OpticalChannelConfig::default()
-        });
-        assert!(ch.split_vcs(&[3, 3]).is_none());
-        let mut logged = chan(DualRouteMode::Serialized);
-        logged.set_interval_logging(true);
-        assert!(logged.split_vcs(&[3, 3]).is_none());
     }
 
     #[test]

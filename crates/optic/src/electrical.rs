@@ -160,72 +160,6 @@ impl ElectricalChannel {
     pub fn bits_by_class(&self, class: TrafficClass) -> u64 {
         self.bits_transferred[class as usize]
     }
-
-    /// Splits the lanes into disjoint contiguous groups, one per entry in
-    /// `counts`, for per-shard workers. Returns `None` while interval
-    /// logging is enabled (one ordered log cannot be split). Shards tally
-    /// transferred bits locally; fold them back with
-    /// [`ElectricalChannel::merge_shard_bits`].
-    pub fn split_lanes(&mut self, counts: &[usize]) -> Option<Vec<LaneShard<'_>>> {
-        if self.interval_log.is_some() {
-            return None;
-        }
-        assert_eq!(
-            counts.iter().sum::<usize>(),
-            self.lanes.len(),
-            "shard counts must cover every lane"
-        );
-        let cfg = self.cfg;
-        let mut shards = Vec::with_capacity(counts.len());
-        let mut rest: &mut [TaggedCalendar] = &mut self.lanes;
-        let mut base = 0;
-        for &n in counts {
-            let (head, tail) = rest.split_at_mut(n);
-            shards.push(LaneShard {
-                cfg,
-                lanes: head,
-                base,
-                bits_transferred: [0; 2],
-            });
-            rest = tail;
-            base += n;
-        }
-        Some(shards)
-    }
-
-    /// Folds bit tallies accumulated by [`LaneShard`]s back into the
-    /// channel-wide counters after a parallel phase.
-    pub fn merge_shard_bits(&mut self, bits: [u64; 2]) {
-        self.bits_transferred[0] += bits[0];
-        self.bits_transferred[1] += bits[1];
-    }
-}
-
-/// A contiguous group of electrical lanes owned by one shard worker.
-/// Channel indices stay *global*; behaviour matches
-/// [`ElectricalChannel::transfer`] exactly.
-#[derive(Debug)]
-pub struct LaneShard<'a> {
-    cfg: ElectricalConfig,
-    lanes: &'a mut [TaggedCalendar],
-    base: usize,
-    bits_transferred: [u64; 2],
-}
-
-impl LaneShard<'_> {
-    /// Per-lane equivalent of [`ElectricalChannel::transfer`]. `ch` must
-    /// fall inside this shard's range.
-    pub fn transfer(&mut self, now: Ps, ch: usize, bits: u64, class: TrafficClass) -> (Ps, Ps) {
-        assert!(bits > 0, "cannot transfer zero bits");
-        let dur = self.cfg.freq.transfer_time(bits, self.cfg.width_bits);
-        self.bits_transferred[class as usize] += bits;
-        self.lanes[ch - self.base].book(now, dur, class as usize)
-    }
-
-    /// Bits transferred through this shard since the split, by class.
-    pub fn bits_delta(&self) -> [u64; 2] {
-        self.bits_transferred
-    }
 }
 
 #[cfg(test)]

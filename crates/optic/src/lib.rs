@@ -55,10 +55,10 @@ pub use arbiter::PhotonicDemux;
 pub use ber::{ber_from_q, q_factor, BerModel};
 pub use channel::{
     BusyInterval, ChannelDivision, DualRouteMode, OpticalChannel, OpticalChannelConfig,
-    TrafficClass, VcShard,
+    TrafficClass,
 };
 pub use cost::{MrrLayout, OperationalMode};
-pub use electrical::{ElectricalChannel, ElectricalConfig, LaneShard};
+pub use electrical::{ElectricalChannel, ElectricalConfig};
 pub use mrr::{CouplingState, MicroRing, MrrKind, RingHealth};
 pub use power::{OpticalPathLoss, OpticalPowerModel};
 pub use waveguide::WaveguideLayout;

@@ -124,7 +124,10 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
                         "interleave_bytes" => builder.interleave_bytes(u64_field(v, k)?),
                         "planar_ratio" => builder.planar_ratio(u64_field(v, k)? as usize),
                         "two_level_ratio" => builder.two_level_ratio(u64_field(v, k)? as usize),
-                        "hot_threshold" => builder.hot_threshold(u64_field(v, k)? as u32),
+                        "hot_threshold" => builder.hot_threshold(
+                            u32::try_from(u64_field(v, k)?)
+                                .map_err(|_| format!("`{k}` must fit in 32 bits"))?,
+                        ),
                         "seed" => builder.seed(u64_field(v, k)?),
                         other => return Err(format!("unknown config key {other:?}")),
                     };
@@ -469,6 +472,22 @@ mod tests {
                 "{body}: {err:?} should mention {needle:?}"
             );
         }
+    }
+
+    #[test]
+    fn hot_threshold_past_32_bits_is_rejected_not_truncated() {
+        // 2^32 + 1 used to wrap to 1, aliasing the cache key of
+        // `hot_threshold: 1` and so another request's cached report.
+        let body = r#"{"config": {"hot_threshold": 4294967297},
+                       "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+        let err = parse_job(body).expect_err("out-of-range threshold accepted");
+        assert_eq!(err, "`hot_threshold` must fit in 32 bits");
+        let max = r#"{"config": {"hot_threshold": 4294967295},
+                      "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+        assert_eq!(
+            parse_job(max).unwrap().config.memory.hot_threshold,
+            u32::MAX
+        );
     }
 
     #[test]

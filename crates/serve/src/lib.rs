@@ -17,7 +17,7 @@
 //! dependency — matching the workspace's offline-build constraint:
 //! blocking [`std::net::TcpListener`] accept loop, thread-per-connection
 //! framing in [`http`], and the resident [`pool::WorkerPool`] for
-//! simulation work, budgeted via `ohm_core::par::budget_cell_threads`.
+//! simulation work, one cell per worker at a time.
 //!
 //! ```no_run
 //! use ohm_serve::{Client, ServeOptions, Server};

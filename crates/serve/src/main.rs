@@ -6,12 +6,13 @@
 //!
 //! ```text
 //! ohm-serve [--addr HOST:PORT] [--state-dir DIR] [--workers N]
-//!           [--cell-threads N] [--fsync always|on-close]
+//!           [--fsync always|on-close]
 //! ```
 //!
 //! Defaults: `127.0.0.1:7716`, state in `.ohm-serve/`, one worker per
-//! core, one event-loop thread per cell, `fsync always` (a daemon's
-//! cache outlives any one process, so durability is the default).
+//! core (each runs one cell at a time on one event loop), `fsync
+//! always` (a daemon's cache outlives any one process, so durability is
+//! the default).
 
 use std::io::Write;
 
@@ -21,7 +22,7 @@ use ohm_serve::{ServeOptions, Server};
 fn usage() -> ! {
     eprintln!(
         "usage: ohm-serve [--addr HOST:PORT] [--state-dir DIR] [--workers N] \
-         [--cell-threads N] [--fsync always|on-close]"
+         [--fsync always|on-close]"
     );
     std::process::exit(2);
 }
@@ -43,10 +44,6 @@ fn main() {
             },
             "--workers" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => opts.workers = n,
-                _ => usage(),
-            },
-            "--cell-threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.cell_threads = n,
                 _ => usage(),
             },
             "--fsync" => match it.next().as_deref().and_then(FsyncPolicy::parse) {

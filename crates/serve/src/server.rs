@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 
 use ohm_core::checkpoint::{Claim, FsyncPolicy, ResultCache};
 use ohm_core::json::escape_json;
-use ohm_core::par::{budget_cell_threads, default_threads};
+use ohm_core::par::default_threads;
 
 use crate::http::{read_request, write_response, write_stream_header, HttpError, Request};
 use crate::job::{parse_job, CellResolution, Job};
@@ -43,10 +43,9 @@ use crate::pool::WorkerPool;
 pub struct ServeOptions {
     /// Worker threads in the cell pool (default: all cores).
     pub workers: usize,
-    /// Requested intra-cell event-loop threads per simulation; the
-    /// effective value is re-budgeted against `workers` via
-    /// [`budget_cell_threads`] so the pool never oversubscribes the
-    /// machine.
+    /// Has no effect: every cell runs on one event loop. Kept only so
+    /// existing struct literals still compile; the next change to the
+    /// benchmark harness drops its last use and removes the field.
     pub cell_threads: usize,
     /// Durability policy for the result journal and the jobs log.
     /// Daemons default to [`FsyncPolicy::Always`]: the cache outlives
@@ -73,7 +72,6 @@ struct Shared {
     cache: ResultCache<Ticket>,
     pool: WorkerPool,
     jobs: Mutex<JobTable>,
-    cell_threads: usize,
     quarantined: AtomicU64,
     stopping: AtomicBool,
 }
@@ -147,7 +145,6 @@ impl Server {
                 fsync: opts.fsync,
                 next_seq,
             }),
-            cell_threads: budget_cell_threads(opts.workers, opts.cell_threads),
             quarantined: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
         });
@@ -297,10 +294,8 @@ fn run_cell(shared: &Arc<Shared>, job: &Arc<Job>, index: usize) {
         Claim::Parked => {}
         Claim::Owner => {
             let cell = job.spec.cell(index);
-            let cell_threads = shared.cell_threads;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cell.run().cell_threads(cell_threads).execute()
-            }));
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.run().execute()));
             match result {
                 Ok(report) => {
                     let (parked, appended) = shared.cache.complete(key, &report);
@@ -472,12 +467,11 @@ fn stats_json(shared: &Shared) -> String {
         (t + 1, d + u64::from(finished))
     });
     format!(
-        "{{\"workers\":{},\"busy\":{},\"cell_threads\":{},\"jobs\":{total},\"jobs_done\":{done},\
+        "{{\"workers\":{},\"busy\":{},\"jobs\":{total},\"jobs_done\":{done},\
          \"quarantined\":{},\"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"coalesced\":{},\
          \"recovered\":{},\"truncated_bytes\":{}}}}}",
         shared.pool.workers(),
         shared.pool.busy(),
-        shared.cell_threads,
         shared.quarantined.load(Ordering::Relaxed),
         shared.cache.len(),
         cache.hits,

@@ -28,8 +28,8 @@ fn state_dir(name: &str) -> PathBuf {
 fn opts(workers: usize) -> ServeOptions {
     ServeOptions {
         workers,
-        cell_threads: 1,
         fsync: FsyncPolicy::Always,
+        ..ServeOptions::default()
     }
 }
 

@@ -9,9 +9,6 @@
 //!   channels) are all expressible.
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with stable
 //!   FIFO ordering among events scheduled for the same instant.
-//! * [`shard`] — an epoch-keyed variant of the queue ([`EpochQueue`])
-//!   whose tie-break survives deferred pushes, plus a [`SpinBarrier`],
-//!   the building blocks of deterministic intra-cell parallelism.
 //! * [`resource`] — calendar-based single-server resources ([`Calendar`])
 //!   used to model buses, banks, controllers and optical routes, with
 //!   per-tag busy-time accounting for bandwidth breakdowns.
@@ -46,7 +43,6 @@ pub mod event;
 pub mod hash;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod sparse;
 pub mod stats;
 pub mod time;
@@ -58,7 +54,6 @@ pub use event::EventQueue;
 pub use hash::{FastBuildHasher, FastHasher, FastMap};
 pub use resource::{Calendar, TaggedCalendar};
 pub use rng::SplitMix64;
-pub use shard::{spins_before_yield, EntryId, EpochQueue, SpinBarrier};
 pub use sparse::SparseState;
 pub use stats::{Counter, Histogram, RunningStats, Timeline};
 pub use time::{Freq, Ps};

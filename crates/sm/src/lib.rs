@@ -26,7 +26,7 @@ pub mod sm;
 pub mod types;
 
 pub use cache::{Cache, CacheConfig, Lookup};
-pub use interconnect::{Interconnect, InterconnectConfig, PortShard};
+pub use interconnect::{Interconnect, InterconnectConfig};
 pub use mshr::{Mshr, MshrOutcome};
 pub use sm::{Sm, SmConfig, Warp, WarpId, WarpState};
 pub use types::{AccessKind, InstructionStream, WarpSlice};
