@@ -8,18 +8,8 @@
 //!
 //! ```text
 //! perf_baseline [--smoke] [--reps N] [--out PATH] [--no-compare]
-//!               [--footprint LIST] [--checkpoint PATH]
+//!               [--footprint LIST]
 //! ```
-//!
-//! `--checkpoint PATH` runs the measured grid through the durable-sweep
-//! journal (DESIGN.md §3.10): completed cells are appended to `PATH`, a
-//! re-run resumes from it, and the run is fault-isolated so a broken
-//! cell quarantines instead of aborting. Forces `--reps 1` — a resumed
-//! repetition replays from the journal in ~zero wall time, which would
-//! corrupt a best-of-reps measurement. The CI chaos job SIGKILLs a
-//! checkpointed smoke run partway, resumes it, and compares the
-//! `grid_digest:` lines (printed on every run) to pin the
-//! resume-bit-identity guarantee.
 //!
 //! Cells run serially (the grid runner's `threads = 1`) so per-cell wall
 //! clocks are not polluted by core contention; each cell keeps the best
@@ -49,7 +39,7 @@ use std::time::Duration;
 
 use ohm_core::config::SystemConfig;
 use ohm_core::json::escape_json;
-use ohm_core::runner::{self, CellOutcome, CellProfile, GridRun};
+use ohm_core::runner::{self, CellProfile, GridRun};
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
 use ohm_workloads::{all_workloads, WorkloadSpec};
@@ -81,14 +71,12 @@ struct Args {
     compare: bool,
     /// Footprint sweep points in bytes (ascending); empty to skip.
     footprints: Vec<u64>,
-    /// Durable-sweep journal for the measured grid; `None` runs plain.
-    checkpoint: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: perf_baseline [--smoke] [--reps N] [--out PATH] [--no-compare] \
-         [--footprint LIST] [--checkpoint PATH]  (LIST e.g. 256M,1G,16G)"
+         [--footprint LIST]  (LIST e.g. 256M,1G,16G)"
     );
     std::process::exit(2);
 }
@@ -128,7 +116,6 @@ fn parse_args() -> Args {
         out: "BENCH_throughput.json".to_string(),
         compare: true,
         footprints: Vec::new(),
-        checkpoint: None,
     };
     let mut explicit_footprints = false;
     let mut it = std::env::args().skip(1);
@@ -151,18 +138,10 @@ fn parse_args() -> Args {
                 }
                 None => usage(),
             },
-            "--checkpoint" => match it.next() {
-                Some(p) => args.checkpoint = Some(p),
-                None => usage(),
-            },
             _ => usage(),
         }
     }
     if args.smoke {
-        args.reps = 1;
-    }
-    if args.checkpoint.is_some() && args.reps != 1 {
-        eprintln!("perf_baseline: --checkpoint forces --reps 1 (resumed reps replay for free)");
         args.reps = 1;
     }
     if !args.smoke && !explicit_footprints {
@@ -211,53 +190,15 @@ struct Cell {
     events_per_sec: f64,
 }
 
-/// Durable-execution summary of the measured grid: the content digest
-/// (the resume-bit-identity golden value) and the per-outcome counts
-/// the CI chaos job asserts on.
-struct GridSummary {
-    digest: u64,
-    completed: usize,
-    cached: usize,
-    quarantined: usize,
-}
-
-impl GridSummary {
-    fn of(result: &ohm_core::runner::GridResult) -> Self {
-        let mut s = GridSummary {
-            digest: result.digest(),
-            completed: 0,
-            cached: 0,
-            quarantined: 0,
-        };
-        for o in &result.outcomes {
-            match o {
-                CellOutcome::Completed => s.completed += 1,
-                CellOutcome::Cached => s.cached += 1,
-                CellOutcome::Quarantined(_) => s.quarantined += 1,
-            }
-        }
-        s
-    }
-}
-
-fn measure(
-    platforms: &[Platform],
-    specs: &[WorkloadSpec],
-    reps: usize,
-    checkpoint: Option<&str>,
-) -> (Vec<Cell>, GridSummary) {
+/// Measures the grid `reps` times; returns each cell's best rep.
+fn measure(platforms: &[Platform], specs: &[WorkloadSpec], reps: usize) -> Vec<Cell> {
     let cfg = SystemConfig::quick_test();
     let mut best: Vec<Option<CellProfile>> = vec![None; platforms.len() * specs.len()];
-    let mut summary = None;
     for rep in 0..reps {
-        let mut run = GridRun::serial().profile(true);
-        if let Some(path) = checkpoint {
-            // Isolated so a broken cell is quarantined and reported in
-            // the outcome counts instead of aborting the durability run.
-            run = run.checkpoint(path).isolate(true);
-        }
-        let result = run.run(&cfg, platforms, OperationalMode::Planar, specs);
-        summary = Some(GridSummary::of(&result));
+        let result =
+            GridRun::serial()
+                .profile(true)
+                .run(&cfg, platforms, OperationalMode::Planar, specs);
         let profiles = result.profiles.expect("profiling was requested");
         for (slot, p) in best.iter_mut().zip(profiles) {
             let faster = slot.as_ref().is_none_or(|b| p.wall < b.wall);
@@ -267,8 +208,7 @@ fn measure(
         }
         eprintln!("rep {}/{} done", rep + 1, reps);
     }
-    let cells = best
-        .into_iter()
+    best.into_iter()
         .map(|p| {
             let p = p.expect("every cell measured");
             let events = (p.events_per_sec * p.wall.as_secs_f64()).round() as u64;
@@ -280,8 +220,7 @@ fn measure(
                 events_per_sec: p.events_per_sec,
             }
         })
-        .collect();
-    (cells, summary.expect("at least one rep"))
+        .collect()
 }
 
 /// One measured footprint-sweep point.
@@ -523,7 +462,7 @@ fn main() {
         if args.smoke { " (smoke)" } else { "" }
     );
 
-    let (cells, summary) = measure(&platforms, &specs, args.reps, args.checkpoint.as_deref());
+    let cells = measure(&platforms, &specs, args.reps);
     let rates: Vec<f64> = cells.iter().map(|c| c.events_per_sec).collect();
     let geomean = runner::geomean(&rates);
 
@@ -542,13 +481,6 @@ fn main() {
         );
     }
     println!("geomean events/sec: {geomean:.0}");
-    // The resume-bit-identity golden value and the outcome tally — the
-    // CI chaos job greps both lines, so keep their shape stable.
-    println!("grid_digest: {:016x}", summary.digest);
-    println!(
-        "grid_cells: {} completed, {} cached, {} quarantined",
-        summary.completed, summary.cached, summary.quarantined
-    );
 
     if args.compare {
         if let Ok(prev) = std::fs::read_to_string(&args.out) {

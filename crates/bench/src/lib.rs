@@ -1,20 +1,18 @@
-//! Shared plumbing for the Ohm-GPU benchmark harness.
+//! The Ohm-GPU evaluation harness.
 //!
-//! The binaries in this crate regenerate the paper's tables and figures
-//! (see DESIGN.md's experiment index for the figure <-> binary mapping);
-//! this library holds the sweep and formatting helpers they share, plus
-//! the self-contained [`harness`] the micro/macro benchmarks run on (the
-//! workspace builds fully offline, so no external bench framework).
+//! [`outputs`] holds one entry per file under `results/`: the cells it
+//! reads and the renderer that turns their reports into the file. The
+//! `reproduce` binary runs every selected output's cells in one pass
+//! (DESIGN.md's experiment index maps figures to outputs); this library
+//! also holds the formatting helpers the renderers share.
 
 #![warn(missing_docs)]
 
-pub mod harness;
+pub mod outputs;
+
+use std::fmt::{self, Write};
 
 use ohm_core::config::SystemConfig;
-use ohm_core::metrics::SimReport;
-use ohm_core::runner;
-use ohm_hetero::Platform;
-use ohm_optic::OperationalMode;
 use ohm_workloads::{all_workloads, WorkloadSpec};
 
 /// The evaluation workload set: the ten Table II applications at the
@@ -26,47 +24,22 @@ pub fn evaluation_workloads() -> Vec<WorkloadSpec> {
         .collect()
 }
 
-/// Whether `OHM_PROFILE` asks grid runs to print per-cell wall-clock
-/// profiles (sim time, events/sec) to stderr.
-pub fn profiling_enabled() -> bool {
-    std::env::var("OHM_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Runs `platforms` over the full Table II set in `mode` with the
-/// evaluation configuration. Returns `grid[workload][platform]`.
-///
-/// With `OHM_PROFILE=1` in the environment, a per-cell wall-clock
-/// profile table is printed to stderr (stdout stays identical, so figure
-/// output remains diffable).
-pub fn evaluation_grid(platforms: &[Platform], mode: OperationalMode) -> Vec<Vec<SimReport>> {
-    let cfg = SystemConfig::evaluation();
-    let specs = evaluation_workloads();
-    let result = runner::GridRun::new()
-        .profile(profiling_enabled())
-        .run(&cfg, platforms, mode, &specs);
-    if let Some(profiles) = &result.profiles {
-        eprint!("{}", runner::format_profiles(profiles));
-    }
-    result.rows
-}
-
-/// Prints a table header row followed by an underline.
-pub fn print_header(cols: &[&str], widths: &[usize]) {
+/// Writes a table header row followed by an underline.
+pub fn header(out: &mut String, cols: &[&str], widths: &[usize]) -> fmt::Result {
     let mut line = String::new();
     for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = w));
+        write!(line, "{c:>w$}  ")?;
     }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len().min(132)));
+    writeln!(out, "{line}")?;
+    writeln!(out, "{}", "-".repeat(line.len().min(132)))
 }
 
-/// Prints one row of right-aligned cells.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
+/// Writes one row of right-aligned cells.
+pub fn row(out: &mut String, cells: &[String], widths: &[usize]) -> fmt::Result {
     for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = w));
+        write!(out, "{c:>w$}  ")?;
     }
-    println!("{line}");
+    writeln!(out)
 }
 
 /// Formats a float with 3 decimals.
@@ -109,6 +82,14 @@ mod tests {
         assert_eq!(f2(1.23456), "1.23");
         assert_eq!(pct(0.1234), "12.3%");
         assert_eq!(sci(7.2e-16), "7.20e-16");
+    }
+
+    #[test]
+    fn tables_pad_and_underline() {
+        let mut out = String::new();
+        header(&mut out, &["app", "ipc"], &[5, 4]).unwrap();
+        row(&mut out, &["lud".to_string(), f2(1.5)], &[5, 4]).unwrap();
+        assert_eq!(out, "  app   ipc  \n-------------\n  lud  1.50  \n");
     }
 
     #[test]

@@ -177,6 +177,16 @@ impl Default for SystemConfig {
 pub enum ConfigError {
     /// The memory system needs at least one controller.
     NoControllers,
+    /// More memory controllers than the fabric has lanes for: each
+    /// controller needs its own crossbar port, electrical channel and
+    /// optical virtual channel.
+    TooManyControllers {
+        /// Controllers configured.
+        controllers: usize,
+        /// The fewest of crossbar ports, electrical channels and
+        /// optical virtual channels.
+        limit: usize,
+    },
     /// L1 line size must match the system access granularity.
     LineSizeMismatch {
         /// L1 line size configured.
@@ -213,6 +223,11 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoControllers => write!(f, "need at least one memory controller"),
+            ConfigError::TooManyControllers { controllers, limit } => write!(
+                f,
+                "memory.controllers = {controllers} exceeds {limit}, the fewest of crossbar \
+                 ports, electrical channels and optical virtual channels"
+            ),
             ConfigError::LineSizeMismatch { l1, system } => {
                 write!(
                     f,
@@ -248,6 +263,18 @@ impl SystemConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.memory.controllers == 0 {
             return Err(ConfigError::NoControllers);
+        }
+        let limit = self
+            .gpu
+            .xbar
+            .ports
+            .min(self.electrical.channels)
+            .min(self.optical.grid.channels() as usize);
+        if self.memory.controllers > limit {
+            return Err(ConfigError::TooManyControllers {
+                controllers: self.memory.controllers,
+                limit,
+            });
         }
         if self.gpu.sms == 0 || self.gpu.sm.warps == 0 {
             return Err(ConfigError::EmptyGpu);
@@ -724,6 +751,33 @@ mod tests {
         };
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroBudget));
         assert!(ConfigError::ZeroBudget.to_string().contains("positive"));
+    }
+
+    #[test]
+    fn controllers_beyond_the_fabric_are_rejected() {
+        // Each controller owns a crossbar port, an electrical channel and
+        // an optical virtual channel (six of each by default); a seventh
+        // used to pass validation and then panic in every cell.
+        for n in 1..=6 {
+            let built = SystemConfig::quick_test()
+                .to_builder()
+                .controllers(n)
+                .build();
+            assert!(built.is_ok(), "{n} controllers: {built:?}");
+        }
+        let err = SystemConfig::quick_test()
+            .to_builder()
+            .controllers(7)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyControllers {
+                controllers: 7,
+                limit: 6
+            }
+        );
+        assert!(err.to_string().contains("controllers"), "{err}");
     }
 
     #[test]

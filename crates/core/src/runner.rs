@@ -3,12 +3,12 @@
 //! Two entry points cover every way the workspace executes simulations:
 //! [`Run`] is the fluent single-cell builder (plain, trace-recorded, or
 //! trace-replayed execution of one platform/mode/workload cell), and
-//! [`GridRun`] sweeps platforms over workloads — an options struct
-//! selecting worker counts, per-cell wall-clock profiling,
-//! checkpointing and fault isolation. The figure harnesses in
-//! `ohm-bench` and the `ohm-serve` daemon both run cells through these
-//! and nothing else.
+//! [`GridRun`] runs many cells — an options struct selecting worker
+//! counts, per-cell wall-clock profiling, checkpointing and fault
+//! isolation. The `reproduce` harness in `ohm-bench` and the
+//! `ohm-serve` daemon both run cells through these and nothing else.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -219,8 +219,11 @@ impl<R: std::io::BufRead + 'static> ReplayRun<'_, R> {
     }
 }
 
-/// Options for one grid run — the single entry point for sweeping
-/// platforms over workloads.
+/// Options for one grid run — the single entry point for running
+/// simulation cells in bulk.
+///
+/// [`GridRun::run_cells`] runs any list of [`CellSpec`]s;
+/// [`GridRun::run`] is its platform × workload cross product.
 ///
 /// ```no_run
 /// # use ohm_core::config::SystemConfig;
@@ -240,7 +243,9 @@ impl<R: std::io::BufRead + 'static> ReplayRun<'_, R> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridRun {
-    threads: usize,
+    /// Worker count; `None` means every available core, resolved when a
+    /// run starts.
+    threads: Option<usize>,
     profile: bool,
     checkpoint: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -258,7 +263,7 @@ impl GridRun {
     /// strict mode, no checkpoint.
     pub fn new() -> Self {
         GridRun {
-            threads: default_threads(),
+            threads: None,
             profile: false,
             checkpoint: None,
             fsync: FsyncPolicy::OnClose,
@@ -275,7 +280,7 @@ impl GridRun {
 
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -285,19 +290,18 @@ impl GridRun {
         self
     }
 
-    /// Runs the grid through a [`ResultCache`] journalled at `path`
+    /// Runs the cells through a [`ResultCache`] journalled at `path`
     /// (DESIGN.md §3.10): every completed cell is appended as it
     /// finishes, and a later run with the same path replays verified
     /// records instead of re-simulating. Cells are keyed by
-    /// [`checkpoint::cell_key`] — config, platform, mode, and workload
-    /// content; worker counts and profiling flags deliberately excluded
-    /// — so a resumed run is bit-identical to an uninterrupted one.
-    /// Replayed cells, and cells repeating a key earlier in the same
-    /// grid (simulated once), are reported as [`CellOutcome::Cached`].
+    /// [`CellSpec::key`] — config, platform, mode, and workload content;
+    /// worker counts and profiling flags deliberately excluded — so a
+    /// resumed run is bit-identical to an uninterrupted one. Replayed
+    /// cells are reported as [`CellOutcome::Cached`].
     ///
-    /// The journal is opened (or created) at [`GridRun::run`] time;
-    /// `run` panics with the [`JournalError`](crate::JournalError) if
-    /// the file exists but is not a valid journal, rather than silently
+    /// The journal is opened (or created) when the run starts; the run
+    /// panics with the [`JournalError`](crate::JournalError) if the file
+    /// exists but is not a valid journal, rather than silently
     /// overwriting it.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
@@ -316,28 +320,20 @@ impl GridRun {
     /// Switches per-cell fault isolation on: a panicking cell is
     /// quarantined as a [`CellOutcome::Quarantined`] while every other
     /// cell completes. Off (strict mode, the default), a panicking cell
-    /// rethrows and tears down the whole grid.
+    /// rethrows and tears down the whole run.
     pub fn isolate(mut self, isolate: bool) -> Self {
         self.isolate = isolate;
         self
     }
 
     /// Runs `platforms` over `specs` in `mode`, returning
-    /// `rows[workload][platform]` in input order.
-    ///
-    /// Cells run in parallel across `threads` workers; each cell builds
-    /// its own [`System`], so the reports are bit-identical to a serial
-    /// run's regardless of the worker count. With
-    /// [`GridRun::checkpoint`] set, cells with a verified journal record
-    /// are replayed instead of re-simulated; with [`GridRun::isolate`]
-    /// set, failing cells are quarantined (their row slot holds a
-    /// zeroed placeholder report — check [`GridResult::outcomes`]
-    /// before trusting a cell).
+    /// `rows[workload][platform]` in input order — the row-major cross
+    /// product handed to [`GridRun::run_cells`], whose contract it
+    /// shares.
     ///
     /// # Panics
     ///
-    /// Rethrows a cell panic in strict mode (the default), and panics
-    /// if the checkpoint journal cannot be opened or appended to.
+    /// As [`GridRun::run_cells`].
     pub fn run(
         &self,
         cfg: &SystemConfig,
@@ -345,49 +341,75 @@ impl GridRun {
         mode: OperationalMode,
         specs: &[WorkloadSpec],
     ) -> GridResult {
-        let cols = platforms.len();
-        let n = specs.len() * cols;
+        let cells: Vec<CellSpec> = specs
+            .iter()
+            .flat_map(|spec| {
+                platforms
+                    .iter()
+                    .map(move |&p| CellSpec::new(cfg.clone(), p, mode, *spec))
+            })
+            .collect();
+        let mut result = self.run_cells(&cells);
+        let reports = result.rows.pop().unwrap_or_default();
+        result.rows = chunk_rows(reports, platforms.len());
+        result
+    }
 
+    /// Runs `cells`, returning their reports as the single row of the
+    /// result, in input order.
+    ///
+    /// Cells run in parallel across the configured workers; each cell
+    /// builds its own [`System`], so the reports are bit-identical to a
+    /// serial run's regardless of the worker count. Each distinct
+    /// [`CellSpec::key`] is simulated at most once per run: a repeated
+    /// key takes its first occurrence's report and reads
+    /// [`CellOutcome::Cached`]. With [`GridRun::checkpoint`] set, keys
+    /// with a verified journal record are replayed instead of
+    /// simulated; with [`GridRun::isolate`] set, failing cells are
+    /// quarantined (their slot holds a zeroed placeholder report —
+    /// check [`GridResult::outcomes`] before trusting a cell).
+    ///
+    /// # Panics
+    ///
+    /// Rethrows a cell panic in strict mode (the default), and panics
+    /// if the checkpoint journal cannot be opened or appended to.
+    pub fn run_cells(&self, cells: &[CellSpec]) -> GridResult {
+        let n = cells.len();
         let cache = self.checkpoint.as_ref().map(|p| {
             ResultCache::open(p, self.fsync)
                 .unwrap_or_else(|e| panic!("GridRun::checkpoint({}): {e}", p.display()))
         });
-        let keys: Vec<u64> = (0..n)
-            .map(|i| checkpoint::cell_key(cfg, platforms[i % cols], mode, &specs[i / cols]))
-            .collect();
+        let keys: Vec<u64> = cells.iter().map(CellSpec::key).collect();
 
-        // Claim every cell before spinning up workers: a resumed run only
-        // pays for what is missing, and a key repeated within the grid
-        // parks behind its first occurrence instead of re-simulating.
+        // Claim every distinct key before spinning up workers: a resumed
+        // run only pays for what is missing, and a repeated key parks
+        // behind its first occurrence instead of re-simulating.
+        let mut owners: HashMap<u64, usize> = HashMap::with_capacity(n);
         let mut slots: Vec<Option<SimReport>> = (0..n).map(|_| None).collect();
         let mut outcomes: Vec<CellOutcome> = vec![CellOutcome::Completed; n];
         let mut todo: Vec<usize> = Vec::with_capacity(n);
-        let mut parked: Vec<usize> = Vec::new();
-        match &cache {
-            None => todo.extend(0..n),
-            Some(c) => {
-                for i in 0..n {
-                    match c.claim(keys[i], i) {
-                        Claim::Hit(r) => {
-                            slots[i] = Some(*r);
-                            outcomes[i] = CellOutcome::Cached;
-                        }
-                        Claim::Owner => todo.push(i),
-                        Claim::Parked => parked.push(i),
-                    }
+        let mut parked: Vec<(usize, usize)> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(&owner) = owners.get(&key) {
+                parked.push((i, owner));
+                continue;
+            }
+            owners.insert(key, i);
+            match cache.as_ref().map(|c| c.claim(key, i)) {
+                Some(Claim::Hit(r)) => {
+                    slots[i] = Some(*r);
+                    outcomes[i] = CellOutcome::Cached;
                 }
+                Some(Claim::Parked) => unreachable!("a run claims each key once"),
+                Some(Claim::Owner) | None => todo.push(i),
             }
         }
 
         let job = |j: usize| {
             let i = todo[j];
-            let report = Run::new(cfg)
-                .platform(platforms[i % cols])
-                .mode(mode)
-                .workload(&specs[i / cols])
-                .execute();
-            // Publish inside the job, not after the sweep: a run killed
-            // mid-grid keeps every cell that finished.
+            let report = cells[i].run().execute();
+            // Publish inside the job, not after the run: a run killed
+            // midway keeps every cell that finished.
             if let Some(c) = &cache {
                 let (_, appended) = c.complete(keys[i], &report);
                 appended.unwrap_or_else(|e| panic!("checkpoint journal append: {e}"));
@@ -399,8 +421,9 @@ impl GridRun {
         } else {
             Policy::Strict
         };
+        let threads = self.threads.unwrap_or_else(default_threads);
         let mut walls = vec![Duration::ZERO; n];
-        for (j, res) in par::map(todo.len(), self.threads, policy, job)
+        for (j, res) in par::map(todo.len(), threads, policy, job)
             .into_iter()
             .enumerate()
         {
@@ -411,19 +434,15 @@ impl GridRun {
                     slots[i] = Some(report);
                 }
                 Err(e) => {
-                    // The map reported the todo-local index; grid
-                    // consumers want the row-major cell index.
+                    // The map reported the todo-local index; callers
+                    // want the cell's index in `cells`.
                     outcomes[i] = CellOutcome::Quarantined(CellError { index: i, ..e });
                 }
             }
         }
         // A repeated key takes its first occurrence's report, or shares
         // its failure.
-        for i in parked {
-            let owner = keys
-                .iter()
-                .position(|&k| k == keys[i])
-                .expect("parked behind an owner");
+        for (i, owner) in parked {
             outcomes[i] = match outcomes[owner].error() {
                 Some(e) => CellOutcome::Quarantined(CellError {
                     index: i,
@@ -436,24 +455,22 @@ impl GridRun {
             };
         }
         // Failed cells hold a zeroed placeholder.
-        let cells: Vec<SimReport> = slots
+        let reports: Vec<SimReport> = slots
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.unwrap_or_else(|| tombstone(platforms[i % cols], mode, &specs[i / cols]))
-            })
+            .zip(cells)
+            .map(|(s, cell)| s.unwrap_or_else(|| tombstone(cell)))
             .collect();
         // Cached and failed cells carry zero wall time: nothing was
         // simulated for them this run.
         let profiles = self.profile.then(|| {
-            cells
+            reports
                 .iter()
                 .zip(&walls)
                 .map(|(r, &w)| CellProfile::new(r, w))
                 .collect()
         });
         GridResult {
-            rows: chunk_rows(cells, cols),
+            rows: vec![reports],
             profiles,
             outcomes,
         }
@@ -465,11 +482,11 @@ impl GridRun {
 /// absent. Consumers that care must consult [`GridResult::outcomes`];
 /// the zeros keep downstream arithmetic finite (`normalize_ipc` already
 /// guards zero baselines).
-fn tombstone(platform: Platform, mode: OperationalMode, spec: &WorkloadSpec) -> SimReport {
+fn tombstone(cell: &CellSpec) -> SimReport {
     SimReport {
-        platform,
-        mode,
-        workload: spec.name.to_string(),
+        platform: cell.platform,
+        mode: cell.mode,
+        workload: cell.workload.name.to_string(),
         makespan: Ps::ZERO,
         instructions: 0,
         ipc: 0.0,
@@ -502,7 +519,8 @@ fn tombstone(platform: Platform, mode: OperationalMode, spec: &WorkloadSpec) -> 
 pub enum CellOutcome {
     /// Simulated to completion this run.
     Completed,
-    /// Replayed from the checkpoint journal without re-simulating.
+    /// Not simulated: replayed from the checkpoint journal, or a repeat
+    /// of a key an earlier cell of the same run resolved.
     Cached,
     /// Panicked under [`GridRun::isolate`]; the row slot holds a zeroed
     /// placeholder.
@@ -528,14 +546,16 @@ impl CellOutcome {
 /// The outcome of a [`GridRun`].
 #[derive(Debug, Clone)]
 pub struct GridResult {
-    /// `rows[workload][platform]`, in input order.
+    /// `rows[workload][platform]` in input order from [`GridRun::run`];
+    /// one row holding every report in input order from
+    /// [`GridRun::run_cells`].
     pub rows: Vec<Vec<SimReport>>,
     /// Per-cell wall-clock profiles in row-major cell order; `Some`
     /// only when [`GridRun::profile`] was requested.
     pub profiles: Option<Vec<CellProfile>>,
     /// Per-cell outcomes in row-major cell order — how each row slot
     /// was produced. All [`CellOutcome::Completed`] for a plain strict
-    /// run.
+    /// run whose cells are distinct.
     pub outcomes: Vec<CellOutcome>,
 }
 
@@ -598,37 +618,6 @@ impl CellProfile {
             events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
         }
     }
-}
-
-/// Renders cell profiles as a fixed-width table (one line per cell plus
-/// a total), for printing to stderr after a grid run.
-pub fn format_profiles(profiles: &[CellProfile]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:<10} {:>10} {:>12} {:>14}",
-        "platform", "workload", "wall_ms", "sim_us", "events/sec"
-    );
-    for p in profiles {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<10} {:>10.1} {:>12.1} {:>14.0}",
-            p.platform.name(),
-            p.workload,
-            p.wall.as_secs_f64() * 1e3,
-            p.sim_makespan.as_us_f64(),
-            p.events_per_sec
-        );
-    }
-    let total: f64 = profiles.iter().map(|p| p.wall.as_secs_f64()).sum();
-    let _ = writeln!(
-        out,
-        "total wall: {:.2}s over {} cells",
-        total,
-        profiles.len()
-    );
-    out
 }
 
 /// Geometric mean of a positive series (0 for an empty one).

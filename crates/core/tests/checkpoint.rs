@@ -164,9 +164,11 @@ fn repeated_cells_simulate_once_and_read_cached() {
     // One `REC` per unique key.
     let journal = std::fs::read_to_string(&path).unwrap();
     assert_eq!(journal.lines().filter(|l| l.starts_with("REC ")).count(), 2);
-    // Coalescing is invisible in the results.
+    // Coalescing is invisible in the results, and a run without a
+    // journal resolves the repeat the same way.
     let plain = GridRun::serial().run(&cfg, &platforms, OperationalMode::Planar, &repeated);
     assert_eq!(result.digest(), plain.digest());
+    assert_eq!(plain.outcomes, result.outcomes);
 
     let _ = std::fs::remove_file(&path);
 }

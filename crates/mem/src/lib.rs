@@ -20,10 +20,8 @@
 //!   Start-Gap, buffering, the DDR-T asynchronous handshake, the *snarf*
 //!   capability used by auto-read/write, and the DDR sequence generator
 //!   used by the swap function.
-//! * [`protocol`] — DDR command and DDR-T message vocabulary, including the
-//!   paper's new `SWAP-CMD`.
-//! * [`serdes`] — the SerDes + 16 KB register front-end that adapts
-//!   parallel memory devices to the serial optical channel.
+//! * [`protocol`] — DDR command vocabulary, including the paper's new
+//!   `SWAP-CMD`.
 //! * [`ddr_seq`] — the DDR sequence generator (swap function) and the DDR
 //!   monitor (reverse write) of Section V-A.
 
@@ -33,7 +31,6 @@ pub mod ddr_seq;
 pub mod dram;
 pub mod lifecycle;
 pub mod protocol;
-pub mod serdes;
 pub mod wear;
 pub mod xpoint;
 pub mod xpoint_ctrl;
@@ -43,8 +40,7 @@ pub use dram::{DramAccess, DramConfig, DramModule, DramTiming};
 pub use lifecycle::{
     LifecycleOutcome, LineLifecycle, XpLifecycleConfig, XpLifecycleEvent, XpLifecycleEventKind,
 };
-pub use protocol::{DdrCommand, DdrTMessage, MemKind, SwapCmd};
-pub use serdes::SerdesFrontend;
+pub use protocol::{DdrCommand, MemKind, SwapCmd};
 pub use wear::{StartGap, WearError, WearStats};
 pub use xpoint::{XPointConfig, XPointMedia};
 pub use xpoint_ctrl::{XPointController, XpCompletion, XpFaultConfig};

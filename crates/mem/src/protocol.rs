@@ -1,11 +1,12 @@
 //! Memory communication protocol vocabulary.
 //!
-//! The heterogeneous memory controller speaks two protocols (paper,
-//! Section II-C): deterministic **DDR** to DRAM, and the asynchronous
-//! **DDR-T** handshake to the XPoint controller, whose access latencies are
-//! non-deterministic. Ohm-GPU additionally introduces the `SWAP-CMD`
-//! message (Section IV-B) that delegates a whole migration to the XPoint
-//! controller's DDR sequence generator.
+//! The heterogeneous memory controller speaks deterministic **DDR** to
+//! DRAM (paper, Section II-C); the asynchronous DDR-T handshake to the
+//! XPoint controller is modelled by
+//! [`XPointController`](crate::XPointController)'s completion times.
+//! Ohm-GPU additionally introduces the `SWAP-CMD` message (Section IV-B)
+//! that delegates a whole migration to the XPoint controller's DDR
+//! sequence generator.
 
 use ohm_sim::Addr;
 
@@ -58,45 +59,6 @@ pub enum DdrCommand {
     Refresh,
 }
 
-/// Asynchronous DDR-T messages exchanged with the XPoint controller.
-///
-/// DDR-T decouples command from data: the controller sends a command, goes
-/// on to serve other requests, and is signalled when the XPoint controller
-/// has data ready.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DdrTMessage {
-    /// Read command for a logical XPoint address.
-    ReadCmd {
-        /// Logical address requested.
-        addr: Addr,
-    },
-    /// Write command; data follows on the channel.
-    WriteCmd {
-        /// Logical address written.
-        addr: Addr,
-    },
-    /// XPoint controller signals that read data is ready to transfer.
-    ReadReady {
-        /// Logical address whose data is ready.
-        addr: Addr,
-    },
-    /// XPoint controller acknowledges a buffered (persistent) write.
-    WriteAck {
-        /// Logical address acknowledged.
-        addr: Addr,
-    },
-    /// XPoint controller signals completion of a delegated migration.
-    MigrationDone {
-        /// Migration identifier from the originating `SWAP-CMD`.
-        id: u64,
-    },
-    /// Memory-controller confirmation in the swap/reverse-write handshakes.
-    Confirm {
-        /// Identifier being confirmed.
-        id: u64,
-    },
-}
-
 /// The paper's new `SWAP-CMD` (Figure 10a / Figure 11): asks the XPoint
 /// controller to migrate `size_bytes` between a DRAM page and an XPoint
 /// page using its DDR sequence generator, over the memory route.
@@ -105,7 +67,7 @@ pub enum DdrTMessage {
 /// state) and stalls only requests that conflict with the migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwapCmd {
-    /// Migration identifier, echoed in [`DdrTMessage::MigrationDone`].
+    /// Migration identifier.
     pub id: u64,
     /// DRAM-side page address.
     pub dram_addr: Addr,

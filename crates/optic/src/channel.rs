@@ -48,7 +48,7 @@ pub enum TrafficClass {
 /// The paper evaluates the *static* division (Table I); the dynamic
 /// policy of [Li et al., HPCA'13] — reassigning idle wavelengths to busy
 /// controllers at a retuning cost — is implemented as an extension and
-/// explored by the `ablation_division` harness.
+/// explored by `reproduce ablation_division`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelDivision {
     /// Each controller owns a fixed virtual channel (Table I).

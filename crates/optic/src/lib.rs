@@ -16,10 +16,6 @@
 //! * [`channel`] — the optical channel proper: virtual channels with
 //!   photonic-demux arbitration, the *dual routes* (data route MC↔device,
 //!   memory route device↔device), and per-class busy accounting.
-//! * [`arbiter`] — the photonic demultiplexer's control logic as an
-//!   explicit state machine (device enables, grant switching, fairness).
-//! * [`waveguide`] — physical bus layout: per-device distances, through
-//!   losses, and the worst-case link budget.
 //! * [`electrical`] — the baseline electrical channel for the `Origin`
 //!   and `Hetero` platforms.
 //! * [`power`] — the optical power budget: laser power, per-component dB
@@ -40,18 +36,15 @@
 
 #![warn(missing_docs)]
 
-pub mod arbiter;
 pub mod ber;
 pub mod channel;
 pub mod cost;
 pub mod electrical;
 pub mod mrr;
 pub mod power;
-pub mod waveguide;
 pub mod wavelength;
 pub mod wom;
 
-pub use arbiter::PhotonicDemux;
 pub use ber::{ber_from_q, q_factor, BerModel};
 pub use channel::{
     BusyInterval, ChannelDivision, DualRouteMode, OpticalChannel, OpticalChannelConfig,
@@ -61,6 +54,5 @@ pub use cost::{MrrLayout, OperationalMode};
 pub use electrical::{ElectricalChannel, ElectricalConfig};
 pub use mrr::{CouplingState, MicroRing, MrrKind, RingHealth};
 pub use power::{OpticalPathLoss, OpticalPowerModel};
-pub use waveguide::WaveguideLayout;
 pub use wavelength::{Wavelength, WdmGrid};
 pub use wom::Wom22;

@@ -87,13 +87,6 @@ impl OpticalPathLoss {
         self
     }
 
-    /// Light passes an untuned device's ring array on a bus waveguide
-    /// (through-loss only).
-    pub fn through_device(mut self) -> Self {
-        self.total_db += crate::waveguide::DEVICE_THROUGH_DB;
-        self
-    }
-
     /// Light continues past a half-coupled MRR that absorbs fraction
     /// `absorb` of the power. The ring's own insertion loss is part of its
     /// modulator/detector budget, so only the split is charged here —

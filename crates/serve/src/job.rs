@@ -491,6 +491,18 @@ mod tests {
     }
 
     #[test]
+    fn controllers_past_the_fabric_are_rejected() {
+        // Seven controllers used to parse, then quarantine every cell.
+        let body = r#"{"config": {"controllers": 7},
+                       "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+        let err = parse_job(body).expect_err("7 controllers accepted");
+        assert!(err.contains("controllers"), "{err}");
+        let six = r#"{"config": {"controllers": 6},
+                      "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+        assert_eq!(parse_job(six).unwrap().config.memory.controllers, 6);
+    }
+
+    #[test]
     fn job_records_events_and_finalizes_digest() {
         let spec = parse_job(smoke_body()).unwrap();
         let reports: Vec<SimReport> = spec.cells().iter().map(|c| c.run().execute()).collect();

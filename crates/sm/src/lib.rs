@@ -11,8 +11,6 @@
 //!   mechanism a cycle-level GPU model captures.
 //! * [`cache`] — set-associative write-back caches for the private L1D
 //!   (48 KB, 6-way) and shared L2 (6 MB, 8-way) of Table I.
-//! * [`mshr`] — miss-status holding registers that merge concurrent misses
-//!   to the same line.
 //! * [`interconnect`] — the SM↔L2 crossbar with per-bank ports.
 //! * [`types`] — the warp instruction-stream vocabulary shared with the
 //!   workload generators.
@@ -21,12 +19,10 @@
 
 pub mod cache;
 pub mod interconnect;
-pub mod mshr;
 pub mod sm;
 pub mod types;
 
 pub use cache::{Cache, CacheConfig, Lookup};
 pub use interconnect::{Interconnect, InterconnectConfig};
-pub use mshr::{Mshr, MshrOutcome};
 pub use sm::{Sm, SmConfig, Warp, WarpId, WarpState};
 pub use types::{AccessKind, InstructionStream, WarpSlice};

@@ -2,7 +2,7 @@
 //! the workspace's own deterministic [`SplitMix64`] generator.
 
 use ohm_sim::{Addr, Ps, SplitMix64};
-use ohm_sm::{Cache, CacheConfig, Mshr, MshrOutcome, Sm, SmConfig};
+use ohm_sm::{Cache, CacheConfig, Sm, SmConfig};
 
 /// An access to a line always hits if the line was accessed within the
 /// last `ways` distinct-line accesses to its set (LRU guarantee).
@@ -67,34 +67,6 @@ fn cache_accounting_identities() {
         }
         assert_eq!(cache.hits() + cache.misses(), n as u64);
         assert!(cache.writebacks() <= cache.misses());
-    }
-}
-
-/// MSHR: every registered primary is completed exactly once with all
-/// its secondaries; occupancy returns to zero.
-#[test]
-fn mshr_complete_returns_all_waiters() {
-    let mut rng = SplitMix64::new(0x358);
-    for _case in 0..48 {
-        let n = 1 + rng.next_below(100) as usize;
-        let lines: Vec<u64> = (0..n).map(|_| rng.next_below(16)).collect();
-        let mut m: Mshr<usize> = Mshr::new(64, 64);
-        let mut expected: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &l) in lines.iter().enumerate() {
-            let addr = Addr::new(l * 64);
-            match m.register(addr, i) {
-                MshrOutcome::Primary | MshrOutcome::Secondary => {
-                    expected.entry(l).or_default().push(i);
-                }
-                MshrOutcome::Full => unreachable!("capacity 64 > 16 distinct lines"),
-            }
-        }
-        for (l, want) in expected {
-            let got = m.complete(Addr::new(l * 64));
-            assert_eq!(got, want);
-        }
-        assert_eq!(m.occupied(), 0);
     }
 }
 
