@@ -41,12 +41,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn platform_by_name(name: &str) -> Option<Platform> {
-    Platform::ALL
-        .into_iter()
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         workload: "pagerank".to_string(),
@@ -61,7 +55,7 @@ fn parse_args() -> Args {
             "--workload" => args.workload = it.next().unwrap_or_else(|| usage()),
             "--platform" => {
                 let name = it.next().unwrap_or_else(|| usage());
-                args.platform = platform_by_name(&name).unwrap_or_else(|| {
+                args.platform = Platform::by_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown platform {name:?}");
                     usage()
                 });

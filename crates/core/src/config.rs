@@ -198,6 +198,15 @@ pub enum ConfigError {
     NotPowerOfTwo(&'static str),
     /// The GPU needs at least one SM and one warp per SM.
     EmptyGpu,
+    /// More SMs than [`SystemConfig::MAX_SMS`], or more warps in total
+    /// than [`SystemConfig::MAX_WARPS`]: `System::new` allocates state
+    /// per SM and per warp up front.
+    GpuTooLarge {
+        /// SMs configured.
+        sms: usize,
+        /// Resident warps per SM configured.
+        warps_per_sm: usize,
+    },
     /// A capacity ratio must be positive.
     ZeroRatio(&'static str),
     /// The per-warp instruction budget must be positive.
@@ -236,6 +245,13 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NotPowerOfTwo(what) => write!(f, "{what} must be a power of two"),
             ConfigError::EmptyGpu => write!(f, "need at least one SM and one warp per SM"),
+            ConfigError::GpuTooLarge { sms, warps_per_sm } => write!(
+                f,
+                "{sms} SMs x {warps_per_sm} warps per SM exceeds the limit of {} SMs and {} \
+                 warps in total",
+                SystemConfig::MAX_SMS,
+                SystemConfig::MAX_WARPS
+            ),
             ConfigError::ZeroRatio(what) => write!(f, "{what} must be positive"),
             ConfigError::ZeroBudget => write!(f, "instructions per warp must be positive"),
             ConfigError::BadResidentFraction(v) => {
@@ -278,6 +294,13 @@ impl SystemConfig {
         }
         if self.gpu.sms == 0 || self.gpu.sm.warps == 0 {
             return Err(ConfigError::EmptyGpu);
+        }
+        let warps = self.gpu.sms.checked_mul(self.gpu.sm.warps);
+        if self.gpu.sms > Self::MAX_SMS || warps.is_none_or(|w| w > Self::MAX_WARPS) {
+            return Err(ConfigError::GpuTooLarge {
+                sms: self.gpu.sms,
+                warps_per_sm: self.gpu.sm.warps,
+            });
         }
         if self.insts_per_warp == 0 {
             return Err(ConfigError::ZeroBudget);
@@ -392,6 +415,14 @@ impl SystemConfig {
     /// The footprint used by the figure harnesses (512 MB; see
     /// [`SystemConfig::evaluation`]).
     pub const EVALUATION_FOOTPRINT: u64 = 512 << 20;
+
+    /// The most SMs [`SystemConfig::validate`] admits: 64× Table I's 16.
+    pub const MAX_SMS: usize = 1024;
+
+    /// The most warps, summed over every SM, that
+    /// [`SystemConfig::validate`] admits: 64× the 16 × 64 of
+    /// [`SystemConfig::evaluation`].
+    pub const MAX_WARPS: usize = 1 << 16;
 
     /// DRAM capacity (bytes) for a heterogeneous platform covering
     /// `footprint` in the given mode, preserving the Table I ratios.
@@ -778,6 +809,20 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("controllers"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_the_gpu_size() {
+        let gpu = |sms, warps| SystemConfig::builder().sms(sms).warps_per_sm(warps).build();
+        let too_large = |sms, warps_per_sm| Err(ConfigError::GpuTooLarge { sms, warps_per_sm });
+        assert!(gpu(SystemConfig::MAX_SMS, 64).is_ok());
+        assert!(gpu(1, SystemConfig::MAX_WARPS).is_ok());
+        assert_eq!(gpu(SystemConfig::MAX_SMS + 1, 1), too_large(1025, 1));
+        assert_eq!(gpu(16, 4097), too_large(16, 4097));
+        // A product past usize is rejected, not wrapped.
+        assert_eq!(gpu(2, usize::MAX), too_large(2, usize::MAX));
+        let err = gpu(1 << 40, 64).unwrap_err().to_string();
+        assert!(err.contains("limit of 1024 SMs and 65536 warps"), "{err}");
     }
 
     #[test]

@@ -462,13 +462,9 @@ impl GridRun {
             .collect();
         // Cached and failed cells carry zero wall time: nothing was
         // simulated for them this run.
-        let profiles = self.profile.then(|| {
-            reports
-                .iter()
-                .zip(&walls)
-                .map(|(r, &w)| CellProfile::new(r, w))
-                .collect()
-        });
+        let profiles = self
+            .profile
+            .then(|| walls.into_iter().map(|wall| CellProfile { wall }).collect());
         GridResult {
             rows: vec![reports],
             profiles,
@@ -594,30 +590,9 @@ fn chunk_rows(cells: Vec<SimReport>, cols: usize) -> Vec<Vec<SimReport>> {
 /// results stay deterministic.
 #[derive(Debug, Clone)]
 pub struct CellProfile {
-    /// Platform simulated in this cell.
-    pub platform: Platform,
-    /// Workload name.
-    pub workload: String,
-    /// Host wall-clock time the cell's simulation took.
-    pub wall: std::time::Duration,
-    /// Simulated makespan of the cell.
-    pub sim_makespan: ohm_sim::Ps,
-    /// Simulation throughput: retired instructions + memory requests
-    /// processed per host second.
-    pub events_per_sec: f64,
-}
-
-impl CellProfile {
-    fn new(report: &SimReport, wall: std::time::Duration) -> Self {
-        let events = report.instructions + report.mem_requests;
-        CellProfile {
-            platform: report.platform,
-            workload: report.workload.clone(),
-            wall,
-            sim_makespan: report.makespan,
-            events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-        }
-    }
+    /// Host wall-clock time the cell's simulation took; zero for a cell
+    /// this run did not simulate.
+    pub wall: Duration,
 }
 
 /// Geometric mean of a positive series (0 for an empty one).
@@ -694,23 +669,35 @@ mod tests {
     #[test]
     fn grid_profile_matches_rows() {
         let cfg = SystemConfig::quick_test();
-        let specs = vec![workload_by_name("lud").unwrap()];
-        let platforms = [Platform::OhmBase, Platform::Oracle];
-        let result =
-            GridRun::serial()
-                .profile(true)
-                .run(&cfg, &platforms, OperationalMode::Planar, &specs);
-        let profiles = result.profiles.expect("profiles requested");
-        assert_eq!(profiles.len(), 2);
-        for (p, r) in profiles.iter().zip(&result.rows[0]) {
-            assert_eq!(p.platform, r.platform);
-            assert_eq!(p.workload, r.workload);
-            assert_eq!(p.sim_makespan, r.makespan);
-            assert!(p.events_per_sec > 0.0);
-        }
+        let lud = workload_by_name("lud").unwrap();
+        let cell = |p| CellSpec::new(cfg.clone(), p, OperationalMode::Planar, lud);
+        // The repeat of the first cell comes last, so a profile list in
+        // any other order puts its zero in the wrong slot.
+        let cells = [
+            cell(Platform::OhmBase),
+            cell(Platform::Oracle),
+            cell(Platform::OhmBase),
+        ];
+        let result = GridRun::new().threads(2).profile(true).run_cells(&cells);
+        assert_eq!(
+            result.outcomes,
+            [
+                CellOutcome::Completed,
+                CellOutcome::Completed,
+                CellOutcome::Cached
+            ]
+        );
+        let walls: Vec<Duration> = result
+            .profiles
+            .expect("profiles requested")
+            .iter()
+            .map(|p| p.wall)
+            .collect();
+        assert_eq!(walls.len(), cells.len());
+        assert!(walls[0] > Duration::ZERO && walls[1] > Duration::ZERO);
+        assert_eq!(walls[2], Duration::ZERO, "a cached cell simulated nothing");
         // Unprofiled runs carry no profiles.
-        let plain = GridRun::serial().run(&cfg, &platforms, OperationalMode::Planar, &specs);
-        assert!(plain.profiles.is_none());
+        assert!(GridRun::serial().run_cells(&cells).profiles.is_none());
     }
 
     #[test]

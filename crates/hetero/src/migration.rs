@@ -73,6 +73,13 @@ impl Platform {
         }
     }
 
+    /// Looks up a platform by its display name, case-insensitively.
+    pub fn by_name(name: &str) -> Option<Platform> {
+        Platform::ALL
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(name))
+    }
+
     /// Channel technology.
     pub fn channel_tech(self) -> ChannelTech {
         match self {
@@ -136,6 +143,10 @@ mod tests {
             names,
             vec!["Origin", "Hetero", "Ohm-base", "Auto-rw", "Ohm-WOM", "Ohm-BW", "Oracle"]
         );
+        for p in Platform::ALL {
+            assert_eq!(Platform::by_name(&p.name().to_uppercase()), Some(p));
+        }
+        assert_eq!(Platform::by_name("Ohm"), None);
     }
 
     #[test]

@@ -64,14 +64,6 @@ impl JobSpec {
     }
 }
 
-/// Looks up a platform by its display name, case-insensitively.
-fn platform_by_name(name: &str) -> Option<Platform> {
-    Platform::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-}
-
 /// The `u64` payload of `key` in `obj`, or a named error.
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
     v.as_u64()
@@ -139,7 +131,7 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
                 for n in names {
                     let n = n.as_str().ok_or("platform names must be strings")?;
                     list.push(
-                        platform_by_name(n).ok_or_else(|| format!("unknown platform {n:?}"))?,
+                        Platform::by_name(n).ok_or_else(|| format!("unknown platform {n:?}"))?,
                     );
                 }
                 platforms = Some(list);
@@ -500,6 +492,20 @@ mod tests {
         let six = r#"{"config": {"controllers": 6},
                       "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
         assert_eq!(parse_job(six).unwrap().config.memory.controllers, 6);
+    }
+
+    #[test]
+    fn an_oversized_gpu_is_rejected_before_a_worker_allocates_it() {
+        // 2^40 SMs, or warps per SM, used to parse; the worker then
+        // aborted the whole daemon allocating per-SM state.
+        for knob in ["sms", "warps_per_sm"] {
+            let body = format!(
+                r#"{{"config": {{"{knob}": 1099511627776}},
+                    "platforms": ["Ohm-base"], "workloads": ["lud"]}}"#
+            );
+            let err = parse_job(&body).expect_err(&body);
+            assert!(err.contains("limit of 1024 SMs"), "{knob}: {err}");
+        }
     }
 
     #[test]

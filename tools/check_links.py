@@ -4,8 +4,8 @@
 Usage: python3 tools/check_links.py [FILE.md ...]
 
 With no arguments, checks the default doc set (README, DESIGN,
-EXPERIMENTS, ROADMAP, results/README.md, docs/*.md). Two classes of
-failure:
+EXPERIMENTS, ROADMAP, results/README.md, docs/*.md and the verify skill,
+.claude/skills/verify/SKILL.md). Two classes of failure:
 
 * A markdown link ``[text](path)`` whose target is a relative path that
   does not exist (external http(s)/mailto links and pure ``#anchor``
@@ -30,6 +30,7 @@ DEFAULT_DOCS = [
     "EXPERIMENTS.md",
     "ROADMAP.md",
     "results/README.md",
+    ".claude/skills/verify/SKILL.md",
     *sorted(
         os.path.relpath(p, REPO) for p in glob.glob(os.path.join(REPO, "docs", "*.md"))
     ),
