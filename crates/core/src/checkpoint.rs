@@ -619,19 +619,34 @@ fn next_record(bytes: &[u8], pos: usize) -> Frame<'_> {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the per-record
-/// integrity check. Bitwise implementation; journal records are small
-/// and written once per simulated cell, so table-free is plenty.
+/// integrity check, verified on every journal read, so a cache hit pays
+/// for it. One table lookup per byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
+
+/// The CRC of each byte value under the reflected IEEE polynomial,
+/// built at compile time.
+static CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 /// FNV-1a over `bytes` — the 64-bit content hash behind [`cell_key`]
 /// and [`report_digest`].
@@ -1402,6 +1417,32 @@ mod tests {
         // The canonical IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition() {
+        // Eight shifts per byte: the definition the table is built from.
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+                }
+            }
+            !crc
+        }
+        let mut rng = ohm_sim::SplitMix64::new(0xC3C);
+        for case in 0..200 {
+            let len = if case < 2 {
+                case * 4096
+            } else {
+                rng.next_below(4097) as usize
+            };
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), bitwise(&bytes), "length {len}");
+        }
     }
 
     #[test]

@@ -218,16 +218,68 @@ impl MemEnv<'_> {
     }
 }
 
+/// One controller's MSHR merge table: the completion time of each line
+/// fill that a later read of the same line may still merge with. Keyed
+/// by line index, so the seedless [`FastMap`] hasher is safe and shaves
+/// SipHash off the per-read path.
+///
+/// A fill that completed at or before the current event time can never
+/// merge again: every later read arrives at or after that time, and a
+/// read treats a completed fill like a missing one. The table drops
+/// such entries whenever it has doubled since its last prune, so it
+/// stays proportional to the fills in flight — at most one per waiting
+/// warp — at amortized O(1) per insert.
+#[derive(Debug, Default)]
+struct MergeTable {
+    fills: FastMap<u64, Ps>,
+    /// Size at which the next insert prunes first.
+    prune_at: usize,
+}
+
+impl MergeTable {
+    /// The completion time of the outstanding fill of `line` that a read
+    /// at `now` merges with, if any.
+    #[inline]
+    fn merge(&self, line: u64, now: Ps) -> Option<Ps> {
+        self.fills.get(&line).copied().filter(|&done| done > now)
+    }
+
+    /// Records a fill of `line` completing at `done`; `floor` is the
+    /// current event time, before which no later read arrives.
+    fn insert(&mut self, line: u64, done: Ps, floor: Ps) {
+        if self.fills.len() >= self.prune_at {
+            self.fills.retain(|_, &mut d| d > floor);
+            self.prune_at = 2 * self.fills.len().max(1);
+            // Give back the buckets of a drained burst, so the next
+            // prune's scan stays proportional to what is live.
+            if self.fills.capacity() > 2 * self.prune_at {
+                self.fills.shrink_to(self.prune_at);
+            }
+        }
+        self.fills.insert(line, done);
+    }
+
+    /// Live entries (fills not yet pruned).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.fills.len()
+    }
+
+    /// Heap bytes held by the table: one `(line, done)` slot plus one
+    /// control byte per bucket of capacity.
+    fn heap_bytes(&self) -> usize {
+        self.fills.capacity() * (std::mem::size_of::<(u64, Ps)>() + 1)
+    }
+}
+
 /// The assembled memory side of a platform: controllers, fabric, and the
 /// platform/mode-specific [`MemoryBackend`].
 pub(crate) struct MemorySubsystem {
     pub(crate) mcs: Vec<MemoryController>,
     pub(crate) fabric: Box<dyn Fabric + Send>,
     pub(crate) backend: Box<dyn MemoryBackend + Send>,
-    /// Per-controller completion times of in-flight line fills (MSHR
-    /// merging). Keyed by line index, so the seedless [`FastMap`] hasher
-    /// is safe and shaves SipHash off the per-read path.
-    in_flight: Vec<FastMap<u64, Ps>>,
+    /// Per-controller MSHR merge tables of in-flight line fills.
+    in_flight: Vec<MergeTable>,
     /// Migration releases awaiting transfer onto the event queue.
     pending: Vec<PendingRelease>,
     /// Reusable buffer for stage intervals batched during one request.
@@ -341,7 +393,7 @@ impl MemorySubsystem {
             mcs,
             fabric,
             backend,
-            in_flight: (0..controllers).map(|_| FastMap::default()).collect(),
+            in_flight: (0..controllers).map(|_| MergeTable::default()).collect(),
             pending: Vec::new(),
             stage_batch: Vec::new(),
             recovery_scratch: Vec::new(),
@@ -358,22 +410,21 @@ impl MemorySubsystem {
             .rem(addr.block_index(cfg.memory.interleave_bytes)) as usize
     }
 
-    /// A demand read reaching memory controller `mc`; returns when data
-    /// is back at the controller.
+    /// A demand read reaching memory controller `mc` at `now`; returns
+    /// when data is back at the controller. `floor` is the time of the
+    /// event being handled: no read of this run arrives before it.
     pub(crate) fn read(
         &mut self,
         cfg: &SystemConfig,
         stats: &mut RunStats,
+        floor: Ps,
         now: Ps,
         mc: usize,
         addr: Addr,
     ) -> Ps {
         let line = addr.block_index(cfg.line_bytes);
-        if let Some(&done) = self.in_flight[mc].get(&line) {
-            if done > now {
-                return done; // MSHR merge with the outstanding fill
-            }
-            self.in_flight[mc].remove(&line);
+        if let Some(done) = self.in_flight[mc].merge(line, now) {
+            return done; // MSHR merge with the outstanding fill
         }
         stats.record_mem_request();
         // MSHR file: a full set of outstanding misses delays this one
@@ -401,7 +452,7 @@ impl MemorySubsystem {
         let done = self.service(cfg, stats, t0, mc, addr, MemKind::Read);
         self.mcs[mc].outstanding.push(Reverse(done.as_ps()));
         stats.record_mem_latency(done - now);
-        self.in_flight[mc].insert(line, done);
+        self.in_flight[mc].insert(line, done, floor);
         done
     }
 
@@ -504,9 +555,10 @@ impl MemorySubsystem {
     }
 
     /// Heap bytes held by footprint-proportional-looking metadata across
-    /// the subsystem: the policy backend's planner state plus every
-    /// XPoint controller's wear-tracking map. All of it is sparse, so
-    /// the result scales with pages/buckets actually touched — the
+    /// the subsystem: the policy backend's planner state, every XPoint
+    /// controller's wear-tracking map, and the MSHR merge tables. The
+    /// first two are sparse, so they scale with pages/buckets actually
+    /// touched; the merge tables scale with fills in flight. The
     /// bounded-memory tier-1 test asserts this stays flat as the
     /// simulated footprint grows.
     pub(crate) fn state_bytes(&self) -> usize {
@@ -516,6 +568,57 @@ impl MemorySubsystem {
             .filter_map(|mc| mc.xpoint.as_ref())
             .map(|xp| xp.wear_map().state_bytes())
             .sum();
-        self.backend.state_bytes() + wear
+        let merge: usize = self.in_flight.iter().map(MergeTable::heap_bytes).sum();
+        self.backend.state_bytes() + wear + merge
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::System;
+    use ohm_workloads::workload_by_name;
+
+    #[test]
+    fn a_read_of_a_line_in_flight_merges_with_its_fill() {
+        let cfg = SystemConfig::quick_test();
+        let spec = workload_by_name("pagerank").unwrap();
+        let mut mem =
+            MemorySubsystem::build(&cfg, Platform::OhmBase, OperationalMode::Planar, &spec);
+        let mut stats = RunStats::default();
+        let addr = Addr::from_block(1234, cfg.line_bytes);
+        let mc = mem.mc_of(&cfg, addr);
+
+        let done = mem.read(&cfg, &mut stats, Ps::ZERO, Ps::ZERO, mc, addr);
+        assert!(done > Ps::ZERO);
+        assert_eq!(stats.mem_requests, 1);
+
+        // A second read while the fill is outstanding merges: same
+        // completion, no new request.
+        let just_before = done - Ps::from_ps(1);
+        let merged = mem.read(&cfg, &mut stats, Ps::ZERO, just_before, mc, addr);
+        assert_eq!(merged, done);
+        assert_eq!(stats.mem_requests, 1);
+
+        // Once the fill has completed, a read of the line is a new miss.
+        let again = mem.read(&cfg, &mut stats, done, done, mc, addr);
+        assert!(again > done);
+        assert_eq!(stats.mem_requests, 2);
+    }
+
+    #[test]
+    fn merge_tables_stay_bounded_by_the_warps() {
+        let cfg = SystemConfig::quick_test();
+        let warps = cfg.gpu.sms * cfg.gpu.sm.warps;
+        let spec = workload_by_name("pagerank").unwrap();
+        for platform in Platform::ALL {
+            let mut sys = System::new(&cfg, platform, OperationalMode::Planar, &spec);
+            sys.run();
+            let held: usize = sys.mem.in_flight.iter().map(MergeTable::len).sum();
+            assert!(
+                held <= 2 * warps,
+                "{platform:?}: {held} merge entries for {warps} warps"
+            );
+        }
     }
 }

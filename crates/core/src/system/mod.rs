@@ -297,9 +297,12 @@ impl System {
 
         // L2 miss: go to memory (loads block; stores write through the fill).
         if kind.is_load() {
-            let data_at_mc = self
-                .mem
-                .read(&self.cfg, &mut self.stats, l2_done, mc, line_addr);
+            // The popped event's time bounds every later read's arrival,
+            // which lets the controller prune fills no read can merge with.
+            let floor = self.engine.queue.now();
+            let data_at_mc =
+                self.mem
+                    .read(&self.cfg, &mut self.stats, floor, l2_done, mc, line_addr);
             self.xbar.traverse(data_at_mc, mc, self.cfg.line_bytes)
         } else {
             self.mem

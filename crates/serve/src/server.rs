@@ -152,7 +152,8 @@ impl Server {
         // Re-enqueue every job that was submitted but never finished —
         // under its original id, so clients can keep polling across the
         // restart. Specs that no longer parse (an incompatible upgrade)
-        // are skipped with a warning rather than wedging startup.
+        // are skipped with a warning rather than wedging startup, and
+        // retired with a `DONE` line so no later start replays them.
         for (id, body) in resume {
             match parse_job(&body) {
                 Ok(spec) => {
@@ -163,7 +164,13 @@ impl Server {
                     drop(jobs);
                     enqueue_job(&shared, &job);
                 }
-                Err(e) => eprintln!("ohm-serve: skipping unresumable job {id}: {e}"),
+                Err(e) => {
+                    eprintln!("ohm-serve: skipping unresumable job {id}: {e}");
+                    let mut jobs = shared.jobs.lock().expect("jobs lock");
+                    if let Err(e) = jobs.log_line(&format!("DONE {id}")) {
+                        eprintln!("ohm-serve: jobs log: {e}");
+                    }
+                }
             }
         }
 

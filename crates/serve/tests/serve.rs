@@ -270,6 +270,36 @@ fn torn_jobs_log_tail_does_not_swallow_later_lines() {
 }
 
 #[test]
+fn an_unresumable_job_is_retired_not_replayed() {
+    let dir = state_dir("unresumable");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A spec that no longer parses: more SMs than validation admits.
+    let oversized = r#"{"config": {"sms": 1099511627776},
+        "platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+    assert!(parse_job(oversized).is_err());
+    std::fs::write(
+        dir.join("jobs.log"),
+        format!("JOB j1 {}\n", escape_json(oversized)),
+    )
+    .unwrap();
+
+    // The first start skips the job and retires it.
+    let mut server = Server::start("127.0.0.1:0", &dir, opts(1)).unwrap();
+    server.stop();
+    drop(server);
+    let log = std::fs::read_to_string(dir.join("jobs.log")).unwrap();
+    assert!(log.ends_with("DONE j1\n"), "jobs.log: {log:?}");
+
+    // The second start recovers nothing, so it writes nothing.
+    let mut server = Server::start("127.0.0.1:0", &dir, opts(1)).unwrap();
+    server.stop();
+    drop(server);
+    assert_eq!(std::fs::read_to_string(dir.join("jobs.log")).unwrap(), log);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graceful_stop_then_restart_finishes_the_job() {
     let dir = state_dir("stop");
     let body = JOB_B;

@@ -116,9 +116,13 @@ impl Calendar {
         // O(1) per line instead of a full stale-gap scan.
         let can_backfill = self.gaps_len > 0 && ready + dur <= self.gap(self.gaps_len - 1).1;
         if can_backfill {
-            // Backfill the earliest fitting gap, editing the split in
-            // place (only the both-sides-remain split grows the list).
-            for i in 0..self.gaps_len {
+            // The same ordering lets a binary search skip every gap that
+            // ends before `ready + dur`: none of them can hold the
+            // booking, so the first fit lies at or after the partition
+            // point. Backfill the earliest fitting gap from there,
+            // editing the split in place (only the both-sides-remain
+            // split grows the list).
+            for i in self.first_gap_ending_at_or_after(ready + dur)..self.gaps_len {
                 let (gs, ge) = self.gap(i);
                 let start = ready.max(gs);
                 let end = start + dur;
@@ -145,6 +149,23 @@ impl Calendar {
         let end = start + dur;
         self.next_free = end;
         (start, end)
+    }
+
+    /// Index of the first live gap whose end is at or after `t` (the
+    /// partition point of the non-decreasing gap ends); `gaps_len` when
+    /// every gap ends before `t`.
+    #[inline]
+    fn first_gap_ending_at_or_after(&self, t: Ps) -> u32 {
+        let (mut lo, mut hi) = (0, self.gaps_len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.gap(mid).1 < t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Appends a gap, forgetting the oldest one once the bound is hit.

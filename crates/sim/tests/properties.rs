@@ -60,6 +60,111 @@ fn calendar_never_double_books() {
     }
 }
 
+/// The linear first-fit calendar `Calendar::book` must agree with: the
+/// same 64-gap bound, eviction order and splits, but every backfill
+/// scans from the oldest gap and nothing skips ahead.
+#[derive(Default)]
+struct LinearCalendar {
+    next_free: u64,
+    /// Idle gaps `[start, end)`, oldest first.
+    gaps: Vec<(u64, u64)>,
+    busy: u64,
+}
+
+impl LinearCalendar {
+    /// `Calendar`'s private `MAX_GAPS`.
+    const MAX_GAPS: usize = 64;
+
+    fn book(&mut self, ready: u64, dur: u64) -> (u64, u64) {
+        self.busy += dur;
+        for i in 0..self.gaps.len() {
+            let (gs, ge) = self.gaps[i];
+            let start = ready.max(gs);
+            let end = start + dur;
+            if end <= ge {
+                match (start > gs, end < ge) {
+                    (false, false) => {
+                        self.gaps.remove(i);
+                    }
+                    (false, true) => self.gaps[i] = (end, ge),
+                    (true, false) => self.gaps[i] = (gs, start),
+                    (true, true) => {
+                        self.gaps[i] = (gs, start);
+                        self.gaps.insert(i + 1, (end, ge));
+                        self.trim();
+                    }
+                }
+                return (start, end);
+            }
+        }
+        let start = ready.max(self.next_free);
+        if start > self.next_free {
+            self.gaps.push((self.next_free, start));
+            self.trim();
+        }
+        self.next_free = start + dur;
+        (start, self.next_free)
+    }
+
+    fn block_until(&mut self, until: u64) {
+        self.next_free = self.next_free.max(until);
+    }
+
+    /// Forgets the oldest gap once the bound is exceeded.
+    fn trim(&mut self) {
+        if self.gaps.len() > Self::MAX_GAPS {
+            self.gaps.remove(0);
+        }
+    }
+}
+
+/// `Calendar::book` grants, booking for booking, the interval the
+/// linear first-fit scan grants. Most requests are ready behind the
+/// tail, so the 64-gap ring stays full and backfill scans run deep, and
+/// `block_until` calls are interleaved.
+#[test]
+fn calendar_backfill_matches_the_linear_first_fit_scan() {
+    let mut rng = SplitMix64::new(0xBAC);
+    let (mut booked, mut full, mut backfilled) = (0u64, 0u64, 0u64);
+    for case in 0..64 {
+        let mut cal = Calendar::new();
+        let mut lin = LinearCalendar::default();
+        for n in 0..5_000 {
+            let tail = lin.next_free;
+            let (ready, dur) = match rng.next_below(20) {
+                0 => {
+                    let until = tail + rng.next_below(2_000);
+                    cal.block_until(Ps::from_ps(until));
+                    lin.block_until(until);
+                    continue;
+                }
+                // Ready past the tail: appends, leaving a gap behind.
+                1..=7 => (tail + rng.next_below(1_000), 1 + rng.next_below(200)),
+                // Ready behind the tail: a backfill attempt.
+                _ => (
+                    tail.saturating_sub(rng.next_below(60_000)),
+                    1 + rng.next_below(400),
+                ),
+            };
+            full += u64::from(lin.gaps.len() == LinearCalendar::MAX_GAPS);
+            let (start, end) = cal.book(Ps::from_ps(ready), Ps::from_ps(dur));
+            let want = lin.book(ready, dur);
+            assert_eq!((start.as_ps(), end.as_ps()), want, "case {case} #{n}");
+            assert_eq!(cal.next_free().as_ps(), lin.next_free, "case {case} #{n}");
+            booked += 1;
+            backfilled += u64::from(want.0 < tail);
+        }
+        assert_eq!(cal.busy_time().as_ps(), lin.busy, "case {case}");
+    }
+    // The cases exercise what they are meant to: a full ring and deep
+    // backfill scans.
+    assert!(full * 4 >= booked * 3, "ring full for {full} of {booked}");
+    assert!(
+        backfilled * 2 >= booked,
+        "{backfilled} of {booked} backfilled"
+    );
+}
+
 /// Tagged busy times always sum to the calendar's total busy time.
 #[test]
 fn tagged_calendar_tags_partition_busy() {
