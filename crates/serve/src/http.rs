@@ -8,13 +8,20 @@
 //! server closes after responding, which is also what lets the NDJSON
 //! event stream signal its end without chunked encoding.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest request body accepted, in bytes. A sweep-job spec is a few
 /// hundred bytes; 1 MiB leaves three orders of magnitude of headroom
 /// while bounding what a hostile client can make the server buffer.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest the server waits on any one read of a request. A client
+/// sends its whole request at once, so a read that waits this long
+/// means an idle connection, which is answered `408` and closed rather
+/// than left to hold its thread.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,11 +44,18 @@ pub enum HttpError {
     Bad(String),
     /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge,
+    /// A read waited out the socket's read timeout.
+    TimedOut,
 }
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
+        // A socket read timeout surfaces as `WouldBlock` on Unix and
+        // `TimedOut` on Windows.
+        match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => HttpError::TimedOut,
+            _ => HttpError::Io(e),
+        }
     }
 }
 
@@ -51,6 +65,7 @@ impl std::fmt::Display for HttpError {
             HttpError::Io(e) => write!(f, "socket error: {e}"),
             HttpError::Bad(why) => write!(f, "malformed request: {why}"),
             HttpError::TooLarge => write!(f, "request body exceeds {MAX_BODY_BYTES} bytes"),
+            HttpError::TimedOut => write!(f, "no request data within the read timeout"),
         }
     }
 }
@@ -62,7 +77,8 @@ impl std::fmt::Display for HttpError {
 ///
 /// [`HttpError::Bad`] on a malformed request line, header, or non-UTF-8
 /// body; [`HttpError::TooLarge`] when the declared body exceeds
-/// [`MAX_BODY_BYTES`]; [`HttpError::Io`] when the socket fails.
+/// [`MAX_BODY_BYTES`]; [`HttpError::TimedOut`] when a read outlasts the
+/// stream's read timeout; [`HttpError::Io`] when the socket fails.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -115,6 +131,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         _ => "Unknown",

@@ -34,7 +34,9 @@ use ohm_core::checkpoint::{Claim, FsyncPolicy, ResultCache};
 use ohm_core::json::escape_json;
 use ohm_core::par::default_threads;
 
-use crate::http::{read_request, write_response, write_stream_header, HttpError, Request};
+use crate::http::{
+    read_request, write_response, write_stream_header, HttpError, Request, READ_TIMEOUT,
+};
 use crate::job::{parse_job, CellResolution, Job};
 use crate::pool::WorkerPool;
 
@@ -365,8 +367,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one request and routes it.
+/// Reads one request and routes it. Reads wait at most
+/// [`READ_TIMEOUT`] each, so an idle client is answered `408` and its
+/// thread freed; writes, the event stream's included, have no timeout.
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
     let req = match read_request(&mut stream) {
         Ok(req) => req,
         Err(HttpError::TooLarge) => {
@@ -375,6 +382,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
         Err(HttpError::Bad(why)) => {
             let _ = write_response(&mut stream, 400, "text/plain", &format!("{why}\n"));
+            return;
+        }
+        Err(HttpError::TimedOut) => {
+            let _ = write_response(&mut stream, 408, "text/plain", "request timed out\n");
             return;
         }
         Err(HttpError::Io(_)) => return,

@@ -10,11 +10,15 @@
 //! directly, which is both deterministic and exactly what a killed
 //! server leaves behind.)
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use ohm_core::checkpoint::{grid_digest, report_digest, FsyncPolicy, Journal};
 use ohm_core::json::{escape_json, parse_json};
 use ohm_core::SimReport;
+use ohm_serve::http::READ_TIMEOUT;
 use ohm_serve::{parse_job, Client, JobSpec, ServeOptions, Server};
 
 /// A fresh per-test state directory under the system temp dir.
@@ -393,6 +397,49 @@ fn http_surface_validates_and_reports_errors() {
         grid_digest([report.clone()].iter())
     )));
     assert_eq!(report_digest(&report), report_digest(&cell.run().execute()));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_connection_is_closed_while_jobs_complete() {
+    let dir = state_dir("idle");
+    let server = Server::start("127.0.0.1:0", &dir, opts(1)).unwrap();
+    let client = Client::new(server.local_addr().to_string());
+
+    // A client that connects and sends nothing.
+    let started = Instant::now();
+    let mut idle = TcpStream::connect(server.local_addr()).unwrap();
+    idle.set_read_timeout(Some(READ_TIMEOUT + Duration::from_secs(5)))
+        .unwrap();
+
+    // A normal job completes meanwhile, its event stream included.
+    let body = r#"{"platforms": ["Ohm-base"], "workloads": ["lud"]}"#;
+    let resp = client.submit(body).unwrap();
+    assert_eq!(resp.status, 200);
+    let id = json_str(&resp.body, "job");
+    let mut lines = Vec::new();
+    client
+        .stream_events(&id, |l| lines.push(l.to_string()))
+        .unwrap();
+    let expected = grid_digest(serial_reports(&parse_job(body).unwrap()).iter());
+    assert_eq!(server.wait_job(&id), Some(Some(expected)));
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].contains("\"outcome\":\"completed\""), "{lines:?}");
+    assert!(lines[1].contains(&format!("{expected:016x}")), "{lines:?}");
+
+    // The idle connection gets a 408 and is closed (end of stream), not
+    // held open past the timeout.
+    let mut answer = String::new();
+    idle.read_to_string(&mut answer)
+        .expect("the server closes an idle connection");
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer:?}");
+    let waited = started.elapsed();
+    assert!(
+        waited < READ_TIMEOUT + Duration::from_secs(3),
+        "closed after {waited:?}"
+    );
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,6 +25,14 @@ const MAX_GAPS: usize = 64;
 
 /// A single-server resource with FCFS booking and gap backfill.
 ///
+/// Only a 40-byte header is stored inline: the tail, busy time, booking
+/// count, and the gap ring's head, length and slot pointer. The ring's
+/// 64 slots (1 KiB) are allocated by the first booking that leaves an
+/// idle gap, so a calendar only ever booked at or behind its tail
+/// allocates nothing. A system holds hundreds of bank, plane, port and
+/// lane calendars, and most of them see no traffic until the run
+/// reaches them.
+///
 /// # Example
 ///
 /// ```
@@ -37,51 +45,44 @@ const MAX_GAPS: usize = 64;
 /// assert_eq!(bus.book(Ps::ZERO, Ps::from_ns(10)), (Ps::ZERO, Ps::from_ns(10)));
 /// assert_eq!(bus.busy_time(), Ps::from_ns(20));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Calendar {
     /// Free time after the last scheduled interval.
     next_free: Ps,
-    /// Idle gaps `[start, end)` before `next_free`, oldest first, stored
-    /// as a ring: `gaps_head` indexes the oldest live entry and
-    /// `gaps_len` counts live entries. An inline ring makes both the
-    /// hot-path append and the oldest-gap eviction O(1) with no heap
-    /// traffic (`MAX_GAPS` is a power of two, so indices wrap by mask).
-    gaps: [(Ps, Ps); MAX_GAPS],
-    gaps_head: u32,
-    gaps_len: u32,
+    /// Idle gaps before `next_free`; `None` until the first one.
+    gaps: Option<GapRing>,
     busy: Ps,
     bookings: u64,
 }
 
-impl Default for Calendar {
-    fn default() -> Self {
-        Calendar {
-            next_free: Ps::ZERO,
-            gaps: [(Ps::ZERO, Ps::ZERO); MAX_GAPS],
-            gaps_head: 0,
-            gaps_len: 0,
-            busy: Ps::ZERO,
-            bookings: 0,
-        }
-    }
+/// The idle gaps `[start, end)` of a [`Calendar`], oldest first, in a
+/// ring of `MAX_GAPS` slots: `head` indexes the oldest live entry and
+/// `len` counts live entries. Appending and forgetting the oldest gap
+/// are O(1) (`MAX_GAPS` is a power of two, so indices wrap by mask). A
+/// split or removal in the middle shifts whichever side of the edited
+/// gap is shorter, moving the head when it shifts the older side.
+///
+/// Gap ends never decrease along the ring: tail appends start at the
+/// previous `next_free`, and splits and backfills only shrink a gap in
+/// place.
+///
+/// `head` and `len` sit inline in the calendar, beside the pointer to
+/// the slots, so a booking that cannot backfill reads one slot past
+/// the header.
+#[derive(Debug, Clone)]
+struct GapRing {
+    head: u32,
+    len: u32,
+    slots: Box<[(Ps, Ps); MAX_GAPS]>,
 }
+
+/// Wraps a ring index.
+const MASK: u32 = MAX_GAPS as u32 - 1;
 
 impl Calendar {
     /// Creates an idle resource, free from time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The `i`-th live gap, oldest first.
-    #[inline]
-    fn gap(&self, i: u32) -> (Ps, Ps) {
-        self.gaps[((self.gaps_head + i) as usize) & (MAX_GAPS - 1)]
-    }
-
-    /// Overwrites the `i`-th live gap.
-    #[inline]
-    fn set_gap(&mut self, i: u32, g: (Ps, Ps)) {
-        self.gaps[((self.gaps_head + i) as usize) & (MAX_GAPS - 1)] = g;
     }
 
     /// Books an exclusive interval of length `dur`, starting no earlier
@@ -97,123 +98,29 @@ impl Calendar {
         // Fast path: every gap ends at or before `next_free`, so a
         // booking ready at the tail (the common case in a synchronous
         // timing chain, which books forward in time) can never backfill
-        // — append directly without scanning the gap list.
+        // — append directly without touching the gap ring.
         if ready >= self.next_free {
             if ready > self.next_free {
-                self.push_gap(self.next_free, ready);
+                let gap = (self.next_free, ready);
+                match &mut self.gaps {
+                    Some(ring) => ring.push(gap),
+                    None => self.gaps = Some(GapRing::first(gap)),
+                }
             }
             let end = ready + dur;
             self.next_free = end;
             return (ready, end);
         }
 
-        // Gap end times are non-decreasing along the list (tail appends
-        // start at the previous `next_free`; splits only shrink a gap in
-        // place), so the last gap's end bounds every gap's end. A booking
-        // that cannot fit before that bound can never backfill — skip
-        // the scan outright. This makes the tight same-calendar booking
-        // chains of page operations (swaps book 32 lines back-to-back)
-        // O(1) per line instead of a full stale-gap scan.
-        let can_backfill = self.gaps_len > 0 && ready + dur <= self.gap(self.gaps_len - 1).1;
-        if can_backfill {
-            // The same ordering lets a binary search skip every gap that
-            // ends before `ready + dur`: none of them can hold the
-            // booking, so the first fit lies at or after the partition
-            // point. Backfill the earliest fitting gap from there,
-            // editing the split in place (only the both-sides-remain
-            // split grows the list).
-            for i in self.first_gap_ending_at_or_after(ready + dur)..self.gaps_len {
-                let (gs, ge) = self.gap(i);
-                let start = ready.max(gs);
-                let end = start + dur;
-                if end <= ge {
-                    match (start > gs, end < ge) {
-                        (false, false) => self.remove_gap(i),
-                        (false, true) => self.set_gap(i, (end, ge)),
-                        (true, false) => self.set_gap(i, (gs, start)),
-                        (true, true) => {
-                            self.set_gap(i, (gs, start));
-                            self.split_gap(i, (end, ge));
-                        }
-                    }
-                    return (start, end);
-                }
-            }
+        if let Some(granted) = self.gaps.as_mut().and_then(|g| g.backfill(ready, dur)) {
+            return granted;
         }
 
-        // Append at the tail.
-        let start = ready.max(self.next_free);
-        if start > self.next_free {
-            self.push_gap(self.next_free, start);
-        }
+        // Queue at the tail; `ready` is behind it, so no gap is left.
+        let start = self.next_free;
         let end = start + dur;
         self.next_free = end;
         (start, end)
-    }
-
-    /// Index of the first live gap whose end is at or after `t` (the
-    /// partition point of the non-decreasing gap ends); `gaps_len` when
-    /// every gap ends before `t`.
-    #[inline]
-    fn first_gap_ending_at_or_after(&self, t: Ps) -> u32 {
-        let (mut lo, mut hi) = (0, self.gaps_len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.gap(mid).1 < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Appends a gap, forgetting the oldest one once the bound is hit.
-    #[inline]
-    fn push_gap(&mut self, start: Ps, end: Ps) {
-        if self.gaps_len as usize == MAX_GAPS {
-            self.gaps_head = (self.gaps_head + 1) & (MAX_GAPS as u32 - 1);
-            self.gaps_len -= 1;
-        }
-        let tail = ((self.gaps_head + self.gaps_len) as usize) & (MAX_GAPS - 1);
-        self.gaps[tail] = (start, end);
-        self.gaps_len += 1;
-    }
-
-    /// Removes the `i`-th live gap, preserving order.
-    fn remove_gap(&mut self, i: u32) {
-        if i == 0 {
-            self.gaps_head = (self.gaps_head + 1) & (MAX_GAPS as u32 - 1);
-        } else {
-            for j in i..self.gaps_len - 1 {
-                let next = self.gap(j + 1);
-                self.set_gap(j, next);
-            }
-        }
-        self.gaps_len -= 1;
-    }
-
-    /// Inserts the right half of a split immediately after gap `i`,
-    /// forgetting the oldest gap if the ring is already full (matching
-    /// the eviction order of a plain append-then-trim list).
-    fn split_gap(&mut self, mut i: u32, right: (Ps, Ps)) {
-        if self.gaps_len as usize == MAX_GAPS {
-            if i == 0 {
-                // The evicted oldest gap *is* the left half of this
-                // split: the right half simply replaces it in front.
-                self.set_gap(0, right);
-                return;
-            }
-            self.gaps_head = (self.gaps_head + 1) & (MAX_GAPS as u32 - 1);
-            self.gaps_len -= 1;
-            i -= 1;
-        }
-        for j in (i + 1..self.gaps_len).rev() {
-            let cur = self.gap(j);
-            self.set_gap(j + 1, cur);
-        }
-        self.set_gap(i + 1, right);
-        self.gaps_len += 1;
     }
 
     /// When the resource is next free *at the tail* (ignoring gaps).
@@ -257,6 +164,151 @@ impl Calendar {
         } else {
             (self.busy.as_ps() as f64 / horizon.as_ps() as f64).clamp(0.0, 1.0)
         }
+    }
+}
+
+impl GapRing {
+    /// A ring holding only `gap`: a calendar's first allocation.
+    #[cold]
+    #[inline(never)]
+    fn first(gap: (Ps, Ps)) -> GapRing {
+        let mut slots = Box::new([(Ps::ZERO, Ps::ZERO); MAX_GAPS]);
+        slots[0] = gap;
+        GapRing {
+            head: 0,
+            len: 1,
+            slots,
+        }
+    }
+
+    /// The `i`-th live gap, oldest first.
+    #[inline]
+    fn get(&self, i: u32) -> (Ps, Ps) {
+        self.slots[((self.head + i) & MASK) as usize]
+    }
+
+    /// Overwrites the `i`-th live gap.
+    #[inline]
+    fn set(&mut self, i: u32, g: (Ps, Ps)) {
+        self.slots[((self.head + i) & MASK) as usize] = g;
+    }
+
+    /// Forgets the oldest gap.
+    #[inline]
+    fn pop_oldest(&mut self) {
+        self.head = (self.head + 1) & MASK;
+        self.len -= 1;
+    }
+
+    /// Appends a gap, forgetting the oldest one once the bound is hit.
+    #[inline]
+    fn push(&mut self, g: (Ps, Ps)) {
+        if self.len as usize == MAX_GAPS {
+            self.pop_oldest();
+        }
+        self.set(self.len, g);
+        self.len += 1;
+    }
+
+    /// Books `dur` from `ready` into the earliest gap that holds it,
+    /// editing that gap in place; `None` when no gap fits.
+    #[inline]
+    fn backfill(&mut self, ready: Ps, dur: Ps) -> Option<(Ps, Ps)> {
+        // The last gap's end bounds every gap's end, so a booking that
+        // cannot fit before it can never backfill — skip the search
+        // outright. This keeps the tight same-calendar booking chains
+        // of page operations (swaps book 32 lines back-to-back) O(1)
+        // per line.
+        if self.len == 0 || ready + dur > self.get(self.len - 1).1 {
+            return None;
+        }
+        // No gap that ends before `ready + dur` can hold the booking,
+        // so the first fit lies at or after the partition point.
+        for i in self.first_ending_at_or_after(ready + dur)..self.len {
+            let (gs, ge) = self.get(i);
+            let start = ready.max(gs);
+            let end = start + dur;
+            if end <= ge {
+                match (start > gs, end < ge) {
+                    (false, false) => self.remove(i),
+                    (false, true) => self.set(i, (end, ge)),
+                    (true, false) => self.set(i, (gs, start)),
+                    (true, true) => {
+                        self.set(i, (gs, start));
+                        self.insert_after(i, (end, ge));
+                    }
+                }
+                return Some((start, end));
+            }
+        }
+        None
+    }
+
+    /// Index of the first live gap whose end is at or after `t` (the
+    /// partition point of the non-decreasing gap ends); `len` when every
+    /// gap ends before `t`.
+    #[inline]
+    fn first_ending_at_or_after(&self, t: Ps) -> u32 {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.get(mid).1 < t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Removes the `i`-th live gap, preserving order.
+    fn remove(&mut self, i: u32) {
+        if i < self.len - 1 - i {
+            // Shift the `i` older gaps up one slot over it.
+            for j in (0..i).rev() {
+                let g = self.get(j);
+                self.set(j + 1, g);
+            }
+            self.pop_oldest();
+        } else {
+            for j in i..self.len - 1 {
+                let g = self.get(j + 1);
+                self.set(j, g);
+            }
+            self.len -= 1;
+        }
+    }
+
+    /// Inserts the right half of a split immediately after gap `i`,
+    /// forgetting the oldest gap if the ring is already full (matching
+    /// the eviction order of a plain append-then-trim list).
+    fn insert_after(&mut self, mut i: u32, right: (Ps, Ps)) {
+        if self.len as usize == MAX_GAPS {
+            if i == 0 {
+                // The evicted oldest gap *is* the left half of this
+                // split: the right half simply replaces it in front.
+                self.set(0, right);
+                return;
+            }
+            self.pop_oldest();
+            i -= 1;
+        }
+        if i + 1 < self.len - 1 - i {
+            // Shift the `i + 1` older gaps down one slot, into the free
+            // slot before the head.
+            self.head = self.head.wrapping_sub(1) & MASK;
+            for j in 0..=i {
+                let g = self.get(j + 1);
+                self.set(j, g);
+            }
+        } else {
+            for j in (i + 1..self.len).rev() {
+                let g = self.get(j);
+                self.set(j + 1, g);
+            }
+        }
+        self.set(i + 1, right);
+        self.len += 1;
     }
 }
 
@@ -415,6 +467,25 @@ mod tests {
         c.book(Ps::ZERO, Ps::from_ns(25));
         assert!((c.utilization(Ps::from_ns(100)) - 0.25).abs() < 1e-12);
         assert_eq!(c.utilization(Ps::ZERO), 0.0);
+    }
+
+    #[test]
+    fn a_calendar_that_never_leaves_a_gap_allocates_no_ring() {
+        let mut c = Calendar::new();
+        for i in 0..100u64 {
+            // At the tail, behind it, and held with `block_until`: none
+            // of these leaves an idle gap.
+            let tail = c.next_free();
+            c.book(tail, Ps::from_ns(1 + i % 7));
+            c.book(tail, Ps::from_ns(3));
+            c.block_until(c.next_free() + Ps::from_ns(2));
+        }
+        assert_eq!(c.bookings(), 200);
+        assert!(c.gaps.is_none());
+        assert!(c.clone().gaps.is_none());
+        // The first booking past the tail leaves a gap and allocates.
+        c.book(c.next_free() + Ps::from_ns(1), Ps::from_ns(1));
+        assert_eq!(c.gaps.as_ref().map(|g| g.len), Some(1));
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn event_queue_is_time_ordered() {
 #[test]
 fn calendar_never_double_books() {
     let mut rng = SplitMix64::new(0xCA1);
-    for _case in 0..64 {
+    for _case in 0..ohm_sim::soak_iters(64) {
         let n = 1 + rng.next_below(200) as usize;
         let reqs: Vec<(u64, u64)> = (0..n)
             .map(|_| (rng.next_below(10_000), 1 + rng.next_below(499)))
@@ -69,6 +69,9 @@ struct LinearCalendar {
     /// Idle gaps `[start, end)`, oldest first.
     gaps: Vec<(u64, u64)>,
     busy: u64,
+    /// Where the last booking removed or split a gap, as `(index, gaps
+    /// before the edit)`; `None` when it did neither.
+    shifted_at: Option<(usize, usize)>,
 }
 
 impl LinearCalendar {
@@ -77,6 +80,7 @@ impl LinearCalendar {
 
     fn book(&mut self, ready: u64, dur: u64) -> (u64, u64) {
         self.busy += dur;
+        self.shifted_at = None;
         for i in 0..self.gaps.len() {
             let (gs, ge) = self.gaps[i];
             let start = ready.max(gs);
@@ -84,11 +88,13 @@ impl LinearCalendar {
             if end <= ge {
                 match (start > gs, end < ge) {
                     (false, false) => {
+                        self.shifted_at = Some((i, self.gaps.len()));
                         self.gaps.remove(i);
                     }
                     (false, true) => self.gaps[i] = (end, ge),
                     (true, false) => self.gaps[i] = (gs, start),
                     (true, true) => {
+                        self.shifted_at = Some((i, self.gaps.len()));
                         self.gaps[i] = (gs, start);
                         self.gaps.insert(i + 1, (end, ge));
                         self.trim();
@@ -118,51 +124,151 @@ impl LinearCalendar {
     }
 }
 
+/// One step of a calendar property case.
+enum Op {
+    Book { ready: u64, dur: u64 },
+    BlockUntil(u64),
+}
+
+/// What [`run_against_linear`] saw, summed over its cases.
+#[derive(Default)]
+struct Coverage {
+    booked: u64,
+    /// Bookings made while the ring held `MAX_GAPS` gaps.
+    full: u64,
+    /// Bookings granted behind the tail.
+    backfilled: u64,
+    /// Removals and splits in the older half of the ring.
+    shifted_older: u64,
+    /// Removals and splits in the newer half of the ring.
+    shifted_newer: u64,
+}
+
+/// Runs `ohm_sim::soak_iters(64)` cases of `ops` steps each, drawn by
+/// `next` from the linear model's state, and asserts that `Calendar`
+/// grants every booking exactly as [`LinearCalendar`] does.
+fn run_against_linear(
+    seed: u64,
+    ops: usize,
+    mut next: impl FnMut(&mut SplitMix64, &LinearCalendar) -> Op,
+) -> Coverage {
+    let mut rng = SplitMix64::new(seed);
+    let mut seen = Coverage::default();
+    for case in 0..ohm_sim::soak_iters(64) {
+        let mut cal = Calendar::new();
+        let mut lin = LinearCalendar::default();
+        for n in 0..ops {
+            let tail = lin.next_free;
+            let (ready, dur) = match next(&mut rng, &lin) {
+                Op::BlockUntil(until) => {
+                    cal.block_until(Ps::from_ps(until));
+                    lin.block_until(until);
+                    continue;
+                }
+                Op::Book { ready, dur } => (ready, dur),
+            };
+            seen.full += u64::from(lin.gaps.len() == LinearCalendar::MAX_GAPS);
+            let (start, end) = cal.book(Ps::from_ps(ready), Ps::from_ps(dur));
+            let want = lin.book(ready, dur);
+            assert_eq!((start.as_ps(), end.as_ps()), want, "case {case} #{n}");
+            assert_eq!(cal.next_free().as_ps(), lin.next_free, "case {case} #{n}");
+            seen.booked += 1;
+            seen.backfilled += u64::from(want.0 < tail);
+            match lin.shifted_at {
+                Some((i, len)) if 2 * i < len => seen.shifted_older += 1,
+                Some(_) => seen.shifted_newer += 1,
+                None => {}
+            }
+        }
+        assert_eq!(cal.busy_time().as_ps(), lin.busy, "case {case}");
+    }
+    seen
+}
+
 /// `Calendar::book` grants, booking for booking, the interval the
 /// linear first-fit scan grants. Most requests are ready behind the
 /// tail, so the 64-gap ring stays full and backfill scans run deep, and
 /// `block_until` calls are interleaved.
 #[test]
 fn calendar_backfill_matches_the_linear_first_fit_scan() {
-    let mut rng = SplitMix64::new(0xBAC);
-    let (mut booked, mut full, mut backfilled) = (0u64, 0u64, 0u64);
-    for case in 0..64 {
-        let mut cal = Calendar::new();
-        let mut lin = LinearCalendar::default();
-        for n in 0..5_000 {
-            let tail = lin.next_free;
-            let (ready, dur) = match rng.next_below(20) {
-                0 => {
-                    let until = tail + rng.next_below(2_000);
-                    cal.block_until(Ps::from_ps(until));
-                    lin.block_until(until);
-                    continue;
-                }
-                // Ready past the tail: appends, leaving a gap behind.
-                1..=7 => (tail + rng.next_below(1_000), 1 + rng.next_below(200)),
-                // Ready behind the tail: a backfill attempt.
-                _ => (
-                    tail.saturating_sub(rng.next_below(60_000)),
-                    1 + rng.next_below(400),
-                ),
-            };
-            full += u64::from(lin.gaps.len() == LinearCalendar::MAX_GAPS);
-            let (start, end) = cal.book(Ps::from_ps(ready), Ps::from_ps(dur));
-            let want = lin.book(ready, dur);
-            assert_eq!((start.as_ps(), end.as_ps()), want, "case {case} #{n}");
-            assert_eq!(cal.next_free().as_ps(), lin.next_free, "case {case} #{n}");
-            booked += 1;
-            backfilled += u64::from(want.0 < tail);
+    let seen = run_against_linear(0xBAC, 5_000, |rng, lin| {
+        let tail = lin.next_free;
+        match rng.next_below(20) {
+            0 => Op::BlockUntil(tail + rng.next_below(2_000)),
+            // Ready past the tail: appends, leaving a gap behind.
+            1..=7 => Op::Book {
+                ready: tail + rng.next_below(1_000),
+                dur: 1 + rng.next_below(200),
+            },
+            // Ready behind the tail: a backfill attempt.
+            _ => Op::Book {
+                ready: tail.saturating_sub(rng.next_below(60_000)),
+                dur: 1 + rng.next_below(400),
+            },
         }
-        assert_eq!(cal.busy_time().as_ps(), lin.busy, "case {case}");
-    }
+    });
     // The cases exercise what they are meant to: a full ring and deep
     // backfill scans.
+    let Coverage {
+        booked,
+        full,
+        backfilled,
+        ..
+    } = seen;
     assert!(full * 4 >= booked * 3, "ring full for {full} of {booked}");
     assert!(
         backfilled * 2 >= booked,
         "{backfilled} of {booked} backfilled"
     );
+}
+
+/// Backfills that land in one of the oldest gaps remove or split it
+/// near the ring's head, so `Calendar` shifts the older side of the
+/// ring; backfills into the newest gaps shift the newer side. Both
+/// agree with the linear scan, booking for booking.
+#[test]
+fn calendar_backfill_near_either_end_matches_the_linear_scan() {
+    let seen = run_against_linear(0x01D, 2_000, |rng, lin| {
+        let tail = lin.next_free;
+        let n = lin.gaps.len();
+        if rng.next_below(4) == 0 || n == 0 {
+            // Ready past the tail: appends, leaving a gap behind.
+            return Op::Book {
+                ready: tail + 1 + rng.next_below(1_000),
+                dur: 1 + rng.next_below(200),
+            };
+        }
+        // Into one of the four oldest or four newest gaps: at its start
+        // or inside it, for part or all of it.
+        let k = rng.next_below(n.min(4) as u64) as usize;
+        let (gs, ge) = lin.gaps[if rng.next_below(2) == 0 { k } else { n - 1 - k }];
+        let ready = if rng.next_below(2) == 0 {
+            gs
+        } else {
+            gs + rng.next_below(ge - gs)
+        };
+        let room = ge - ready;
+        let dur = if rng.next_below(3) == 0 {
+            room
+        } else {
+            1 + rng.next_below(room)
+        };
+        Op::Book { ready, dur }
+    });
+    let Coverage {
+        booked,
+        full,
+        shifted_older,
+        shifted_newer,
+        ..
+    } = seen;
+    // Both sides shift often, and often on a full ring, whose splits
+    // also forget the oldest gap.
+    assert!(
+        shifted_older * 8 >= booked && shifted_newer * 8 >= booked,
+        "{shifted_older} older-half and {shifted_newer} newer-half edits of {booked} bookings"
+    );
+    assert!(full * 4 >= booked, "ring full for {full} of {booked}");
 }
 
 /// Tagged busy times always sum to the calendar's total busy time.

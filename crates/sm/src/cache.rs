@@ -79,7 +79,9 @@ struct Line {
 pub struct Cache {
     cfg: CacheConfig,
     /// All lines in one flat allocation, `num_sets` rows of `cfg.ways`
-    /// each — one cache-friendly slab instead of a Vec per set.
+    /// each — one cache-friendly slab instead of a Vec per set. Empty
+    /// until the first [`Cache::access`]: a cache the run never reaches
+    /// holds no slab, and every set reads as invalid lines.
     lines: Vec<Line>,
     num_sets: usize,
     tick: u64,
@@ -109,7 +111,7 @@ impl Cache {
             "capacity must equal sets * ways * line size"
         );
         Cache {
-            lines: vec![Line::default(); sets * cfg.ways],
+            lines: Vec::new(),
             num_sets: sets,
             cfg,
             tick: 0,
@@ -119,14 +121,20 @@ impl Cache {
         }
     }
 
-    /// The ways of one set as a slice of the flat line slab.
+    /// The ways of one set as a slice of the flat line slab; empty
+    /// before the slab is materialized.
     fn set(&self, set_idx: usize) -> &[Line] {
-        &self.lines[set_idx * self.cfg.ways..(set_idx + 1) * self.cfg.ways]
+        let ways = self.cfg.ways;
+        self.lines
+            .get(set_idx * ways..(set_idx + 1) * ways)
+            .unwrap_or(&[])
     }
 
     fn set_mut(&mut self, set_idx: usize) -> &mut [Line] {
         let ways = self.cfg.ways;
-        &mut self.lines[set_idx * ways..(set_idx + 1) * ways]
+        self.lines
+            .get_mut(set_idx * ways..(set_idx + 1) * ways)
+            .unwrap_or(&mut [])
     }
 
     /// The cache geometry.
@@ -145,9 +153,20 @@ impl Cache {
         Addr::from_block(tag * self.num_sets as u64 + set as u64, self.cfg.line_bytes)
     }
 
+    /// Allocates the line slab with every line invalid; the first
+    /// access calls it.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self) {
+        self.lines = vec![Line::default(); self.num_sets * self.cfg.ways];
+    }
+
     /// Accesses the line containing `addr`; on a miss the line is
     /// allocated (write-allocate) and the LRU victim evicted.
     pub fn access(&mut self, addr: Addr, is_write: bool) -> Lookup {
+        if self.lines.is_empty() {
+            self.materialize();
+        }
         self.tick += 1;
         let tick = self.tick;
         let (set_idx, tag) = self.index(addr);
@@ -322,6 +341,20 @@ mod tests {
         assert_eq!(c.invalidate(Addr::new(0)), Some(Addr::new(0)));
         assert!(!c.contains(Addr::new(0)));
         assert_eq!(c.invalidate(Addr::new(0)), None);
+    }
+
+    #[test]
+    fn an_untouched_cache_answers_without_a_slab() {
+        let mut c = Cache::new(CacheConfig::l2_table1());
+        assert!(!c.contains(Addr::new(0x1000)));
+        assert_eq!(c.invalidate(Addr::new(0x1000)), None);
+        assert_eq!(c.lines.capacity(), 0);
+        assert_eq!(c.clone().lines.capacity(), 0);
+        // The first access materializes every set.
+        c.access(Addr::new(0x1000), true);
+        assert_eq!(c.lines.len(), 6144 * 8);
+        assert!(c.contains(Addr::new(0x1000)));
+        assert_eq!(c.invalidate(Addr::new(0x1000)), Some(Addr::new(0x1000)));
     }
 
     #[test]
